@@ -26,6 +26,7 @@ from .divisor import MaximalDivisorConfig, validate_maximal_divisor
 from .errors import (
     CapExceededError,
     DonlatError,
+    IndexRangeError,
     InvalidCycleError,
     PositionOutOfRangeError,
     SchemaError,
@@ -210,7 +211,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, UnknownFixtureError, CapExceededError, PositionOutOfRangeError) as exc:
+    except (
+        SchemaError,
+        UnknownFixtureError,
+        CapExceededError,
+        PositionOutOfRangeError,
+        IndexRangeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidCycleError as exc:

@@ -47,8 +47,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TypeA:
-    """Class e_head - e_tail of a smooth rational curve."""
+class _HeadTail:
+    """Head index and tail set shared by both curve shapes."""
 
     head: int
     tail: frozenset[int]
@@ -60,16 +60,13 @@ class TypeA:
 
 
 @dataclass(frozen=True)
-class TypeB:
+class TypeA(_HeadTail):
+    """Class e_head - e_tail of a smooth rational curve."""
+
+
+@dataclass(frozen=True)
+class TypeB(_HeadTail):
     """Class -2 e_head - e_tail of a smooth rational curve."""
-
-    head: int
-    tail: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", frozenset(self.tail))
-        if self.head in self.tail:
-            raise ValueError(f"head {self.head} may not lie in the tail")
 
 
 @dataclass(frozen=True)

@@ -204,17 +204,10 @@ def cycle_class(cfg: CycleConfig) -> CycleClass:
     Raises:
         NotNodalFormError: some coefficient of the sum is outside {0, -1}.
     """
-    total = _total(cfg)
+    total = sum(cfg.curves, zero(cfg.n))
     if any(a not in (0, -1) for a in total.coeffs):
         raise NotNodalFormError(f"cycle class {list(total.coeffs)} has a coefficient outside {{0,-1}}")
     return CycleClass(total, frozenset(k for k, a in enumerate(total.coeffs) if a == -1))
-
-
-def _total(cfg: CycleConfig) -> ClassVector:
-    total = zero(cfg.n)
-    for c in cfg.curves:
-        total = total + c
-    return total
 
 
 class CycleVerdict(Enum):
@@ -241,7 +234,7 @@ def betti_check(cfg: CycleConfig) -> BettiResult:
         cycle homology sits with index 2).
       * Inadmissible: anything else.
     """
-    total = _total(cfg)
+    total = sum(cfg.curves, zero(cfg.n))
     value = cfg.s - intersect(total, total)
     # value == n and value == 2n cannot both hold (n >= 1), so order is free
     if value == cfg.n and (cfg.s == 1 or _is_partition(cfg)):

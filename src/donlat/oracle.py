@@ -32,7 +32,7 @@ from .curveclass import (
 )
 from .cycle import CycleConfig, CycleVerdict, betti_check
 from .errors import CapExceededError, IndexRangeError
-from .lattice import ClassVector, intersect
+from .lattice import ClassVector, intersect, zero
 
 __all__ = [
     "DEFAULT_CAP",
@@ -254,7 +254,13 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
 
     Rows are (n, s, verdict, count) with zero-count combinations
     omitted; the output is deterministic across runs.
+
+    Raises:
+        CapExceededError: n exceeds the configured cap.
+        IndexRangeError: n below 1.
     """
+    if n < 1:
+        raise IndexRangeError(f"rank must be positive, got {n}")
     rows = []
     for s in range(1, n + 1):
         counts: dict[CycleVerdict, int] = {}
@@ -404,7 +410,7 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
         heads = {k.head for k in kinds}
         tails = [k.tail for k in kinds]
 
-        prefix = [chain[0] - chain[0]]  # zero of the right rank
+        prefix = [zero(n)]
         for c in chain:
             prefix.append(prefix[-1] + c)
         cond_i = isinstance(classify(prefix[j] - prefix[0]), TypeB)

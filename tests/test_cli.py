@@ -140,6 +140,20 @@ def test_census_cap(monkeypatch, capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--n", "0"],
+        ["census", "--n", "-1"],
+        ["enumerate", "--n", "3", "--s", "0"],
+    ],
+)
+def test_out_of_range_arguments_exit_two(monkeypatch, capsys, argv):
+    code, out, err = run(monkeypatch, capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_enumerate_tsv(monkeypatch, capsys):
     code, out, _ = run(monkeypatch, capsys, ["enumerate", "--n", "3", "--s", "3"])
     assert code == 0

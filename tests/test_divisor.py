@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from donlat import (
@@ -17,6 +19,7 @@ from donlat import (
     TreeConfig,
     arithmetic_genus,
     basis,
+    enumerate_cycles,
     fixture,
     from_selfintersections,
     second_component_check,
@@ -104,6 +107,84 @@ def test_remaining_structural_rejections():
         (TreeConfig((ROOT,), 0), TreeConfig((ROOT,), 1))
     )
     assert "rank-mismatch" in codes((TreeConfig((basis(0, 3),), 0),))
+
+
+def _raw_dot(x: ClassVector, y: ClassVector) -> int:
+    return -sum(a * b for a, b in zip(x.coeffs, y.coeffs))
+
+
+def _raw_type_a_pool(n: int) -> list[ClassVector]:
+    """Every e_i - e_I at rank n, built coordinate by coordinate."""
+    pool = []
+    for i in range(n):
+        for signs in itertools.product((0, -1), repeat=n - 1):
+            coeffs = list(signs)
+            coeffs.insert(i, 1)
+            pool.append(ClassVector(tuple(coeffs)))
+    return pool
+
+
+def _check_replay_by_hand(cfg: MaximalDivisorConfig, report) -> None:
+    """Redo, in raw coordinates, what the validator's replay takes as given."""
+    n = cfg.cycle.n
+    total = tuple(sum(col) for col in zip(*(c.coeffs for c in cfg.all_curves())))
+    minus_e_support = tuple(-1 if k in report.support else 0 for k in range(n))
+    assert total == report.total.coeffs == minus_e_support
+
+    union = list(cfg.cycle.curves)
+    step = 0
+    for tree in sorted(cfg.trees, key=lambda t: t.attach):
+        for c in tree.chain:
+            assert sum(_raw_dot(c, u) for u in union) == 1
+            union.append(c)
+            head = c.coeffs.index(1)
+            tail = {k for k, a in enumerate(c.coeffs) if a == -1}
+            before, after = report.trace[step], report.trace[step + 1]
+            assert head in before and not tail & before
+            assert after == (before - {head}) | tail
+            step += 1
+    assert len(report.trace) == step + 1
+
+
+def test_replay_needs_no_checks_of_its_own():
+    """Exhaustive at n <= 3: every ordered cycle, every chain of up to
+    three type A curves at each position, and every combination of such
+    chains on distinct cycle curves.  Chains grow only from accepted
+    prefixes, since every check on a prefix is also made on the chain.
+    """
+    accepted = multi_tree = 0
+    for n in range(1, 4):
+        pool = _raw_type_a_pool(n)
+        for s in range(1, n + 1):
+            for cycle in enumerate_cycles(n, s, symmetry=False):
+                singles = []
+                for pos in range(s):
+                    ok, frontier = [], [()]
+                    for _ in range(3):
+                        grown = []
+                        for chain in frontier:
+                            for c in pool:
+                                tree = TreeConfig(chain + (c,), pos)
+                                cfg = MaximalDivisorConfig(cycle, (tree,))
+                                report = validate_maximal_divisor(cfg)
+                                if report.ok:
+                                    _check_replay_by_hand(cfg, report)
+                                    ok.append(tree)
+                                    grown.append(tree.chain)
+                        frontier = grown
+                    singles.append(ok)
+                    accepted += len(ok)
+                for k in range(2, s + 1):
+                    for positions in itertools.combinations(range(s), k):
+                        for trees in itertools.product(*(singles[p] for p in positions)):
+                            cfg = MaximalDivisorConfig(cycle, trees)
+                            report = validate_maximal_divisor(cfg)
+                            if report.ok:
+                                _check_replay_by_hand(cfg, report)
+                                accepted += 1
+                                multi_tree += 1
+    assert accepted == 424
+    assert multi_tree == 12
 
 
 def test_total_class_raises_on_invalid_input():

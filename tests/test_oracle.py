@@ -149,6 +149,8 @@ def test_caps():
         enumerate_cycles(0, 1)
     with pytest.raises(IndexRangeError):
         enumerate_cycles(2, 0)
+    with pytest.raises(IndexRangeError):
+        census(0)
 
 
 def test_cap_environment_override(monkeypatch):
