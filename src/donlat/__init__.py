@@ -9,190 +9,23 @@ configuration at small rank, and renders dual graphs.  All arithmetic
 is exact integer arithmetic; nothing here is numerical.
 """
 
-from .curveclass import (
-    CurveKind,
-    NonCurve,
-    TypeA,
-    TypeB,
-    classify,
-    compose_chain,
-    distinct_heads,
-    genus_defect,
-    is_nodal_cycle_class,
-    kind_from_json,
-    kind_to_json,
-    reconstruct,
-)
-from .cycle import (
-    BettiResult,
-    CycleClass,
-    CycleConfig,
-    CycleReport,
-    CycleVerdict,
-    Violation,
-    betti_check,
-    canonical_numbering,
-    cycle_class,
-    cycle_notation,
-    from_selfintersections,
-    intersection_matrix,
-    odd_ih_cycle,
-    selfintersections,
-    validate_cycle,
-)
-from .deform import EllipticOutcome, smooth_node
-from .divisor import (
-    DivisorReport,
-    MaximalDivisorConfig,
-    SecondComponentResult,
-    SecondComponentVerdict,
-    TreeConfig,
-    arithmetic_genus,
-    second_component_check,
-    simply_connected_class,
-    total_class,
-    validate_maximal_divisor,
-)
-from .errors import (
-    BadSelfIntersectionError,
-    CapExceededError,
-    DonlatError,
-    IndexRangeError,
-    InvalidCycleError,
-    InvalidDivisorError,
-    NonCurveComponentError,
-    NotACurveError,
-    NotAdjacentError,
-    NotDisjointError,
-    NotLemmaFormError,
-    NotNodalFormError,
-    NotPartitionCaseError,
-    NotTreeShapedError,
-    NotTypeAError,
-    PositionOutOfRangeError,
-    RankMismatchError,
-    RankTooSmallError,
-    SchemaError,
-    SingleCurveError,
-    TwoTypeBError,
-    UnknownFixtureError,
-)
-from .fixtures import FIXTURE_NAMES, fixture
-from .graph import DivisorGraph, divisor_graph, to_dot
-from .lattice import (
-    ClassVector,
-    add,
-    basis,
-    e_sum,
-    intersect,
-    negate,
-    pullback_double_cover,
-    square,
-    zero,
-)
-from .oracle import (
-    DEFAULT_CAP,
-    DichotomyReport,
-    OverlapReport,
-    SweepReport,
-    candidate_curve_classes,
-    canonicalize_cycle,
-    census,
-    effective_cap,
-    enumerate_cycles,
-    verify_chain_dichotomy,
-    verify_internonvide,
-    verify_rational_pattern,
-)
+from . import curveclass, cycle, deform, divisor, errors, fixtures, graph, lattice, oracle
+from .curveclass import *  # noqa: F403
+from .cycle import *  # noqa: F403
+from .deform import *  # noqa: F403
+from .divisor import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fixtures import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadSelfIntersectionError",
-    "BettiResult",
-    "CapExceededError",
-    "ClassVector",
-    "CurveKind",
-    "CycleClass",
-    "CycleConfig",
-    "CycleReport",
-    "CycleVerdict",
-    "DEFAULT_CAP",
-    "DichotomyReport",
-    "DivisorGraph",
-    "DivisorReport",
-    "DonlatError",
-    "EllipticOutcome",
-    "FIXTURE_NAMES",
-    "IndexRangeError",
-    "InvalidCycleError",
-    "InvalidDivisorError",
-    "MaximalDivisorConfig",
-    "NonCurve",
-    "NonCurveComponentError",
-    "NotACurveError",
-    "NotAdjacentError",
-    "NotDisjointError",
-    "NotLemmaFormError",
-    "NotNodalFormError",
-    "NotPartitionCaseError",
-    "NotTreeShapedError",
-    "NotTypeAError",
-    "OverlapReport",
-    "PositionOutOfRangeError",
-    "RankMismatchError",
-    "RankTooSmallError",
-    "SchemaError",
-    "SecondComponentResult",
-    "SecondComponentVerdict",
-    "SingleCurveError",
-    "SweepReport",
-    "TreeConfig",
-    "TwoTypeBError",
-    "TypeA",
-    "TypeB",
-    "UnknownFixtureError",
-    "Violation",
-    "add",
-    "arithmetic_genus",
-    "basis",
-    "betti_check",
-    "candidate_curve_classes",
-    "canonical_numbering",
-    "canonicalize_cycle",
-    "census",
-    "classify",
-    "compose_chain",
-    "cycle_class",
-    "cycle_notation",
-    "distinct_heads",
-    "divisor_graph",
-    "e_sum",
-    "effective_cap",
-    "enumerate_cycles",
-    "fixture",
-    "from_selfintersections",
-    "genus_defect",
-    "intersect",
-    "intersection_matrix",
-    "is_nodal_cycle_class",
-    "kind_from_json",
-    "kind_to_json",
-    "negate",
-    "odd_ih_cycle",
-    "pullback_double_cover",
-    "reconstruct",
-    "second_component_check",
-    "selfintersections",
-    "simply_connected_class",
-    "smooth_node",
-    "square",
-    "to_dot",
-    "total_class",
-    "validate_cycle",
-    "validate_maximal_divisor",
-    "verify_chain_dichotomy",
-    "verify_internonvide",
-    "verify_rational_pattern",
-    "zero",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (curveclass, cycle, deform, divisor, errors, fixtures, graph, lattice, oracle)
+        for name in module.__all__
+    }
+)

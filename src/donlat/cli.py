@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .curveclass import TypeA, TypeB, classify, kind_to_json
-from .cycle import CycleConfig, betti_check, cycle_notation
+from .cycle import CycleConfig, Violation, betti_check, cycle_notation
 from .deform import EllipticOutcome, smooth_node
 from .divisor import MaximalDivisorConfig, validate_maximal_divisor
 from .errors import (
@@ -66,6 +66,13 @@ def _load_divisor(data: object) -> MaximalDivisorConfig:
     return MaximalDivisorConfig(CycleConfig.from_json(data), ())
 
 
+def _print_violations(violations: Sequence[Violation]) -> int:
+    print("invalid")
+    for v in violations:
+        print(f"violation {v.code}: {v.message}")
+    return EXIT_INVALID
+
+
 def _set_text(indices: frozenset[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
 
@@ -105,10 +112,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         assert report.total is not None
         print("total class: " + json.dumps(report.total.to_json()))
         return EXIT_OK
-    print("invalid")
-    for v in report.violations:
-        print(f"violation {v.code}: {v.message}")
-    return EXIT_INVALID
+    return _print_violations(report.violations)
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -156,6 +160,9 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     divisor = _load_divisor(_read_json(args.file))
+    report = validate_maximal_divisor(divisor)
+    if not report.ok:
+        return _print_violations(report.violations)
     sys.stdout.write(to_dot(divisor_graph(divisor)))
     return EXIT_OK
 
@@ -221,11 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidCycleError as exc:
-        print("invalid")
-        if exc.report is not None:
-            for v in exc.report.violations:
-                print(f"violation {v.code}: {v.message}")
-        return EXIT_INVALID
+        return _print_violations(exc.report.violations if exc.report is not None else ())
     except DonlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -37,6 +37,7 @@ from .lattice import ClassVector, basis, e_sum, intersect, square, zero
 
 __all__ = [
     "BettiResult",
+    "CycleClass",
     "CycleConfig",
     "CycleReport",
     "CycleVerdict",
@@ -139,6 +140,17 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
         return CycleReport(tuple(bad))
 
     s = cfg.s
+    kinds = [classify(c) for c in cfg.curves]
+    if cfg.alphas is not None:
+        heads = tuple(k.head if isinstance(k, TypeA) else None for k in kinds)
+        if cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
+            bad.append(
+                Violation(
+                    "alphas-mismatch",
+                    f"alphas {list(cfg.alphas)} must be strictly increasing and equal "
+                    f"the type A heads {list(heads)} in cycle order",
+                )
+            )
     if s == 1:
         ok, _ = is_nodal_cycle_class(cfg.curves[0])
         if not ok:
@@ -150,7 +162,6 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
             )
         return CycleReport(tuple(bad))
 
-    kinds = [classify(c) for c in cfg.curves]
     for pos, k in enumerate(kinds):
         if isinstance(k, NonCurve):
             bad.append(

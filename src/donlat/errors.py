@@ -5,6 +5,31 @@ class; all of them derive from DonlatError so a blanket `except` stays
 possible at CLI level.
 """
 
+__all__ = [
+    "BadSelfIntersectionError",
+    "CapExceededError",
+    "DonlatError",
+    "IndexRangeError",
+    "InvalidCycleError",
+    "InvalidDivisorError",
+    "NonCurveComponentError",
+    "NotACurveError",
+    "NotAdjacentError",
+    "NotDisjointError",
+    "NotLemmaFormError",
+    "NotNodalFormError",
+    "NotPartitionCaseError",
+    "NotTreeShapedError",
+    "NotTypeAError",
+    "PositionOutOfRangeError",
+    "RankMismatchError",
+    "RankTooSmallError",
+    "SchemaError",
+    "SingleCurveError",
+    "TwoTypeBError",
+    "UnknownFixtureError",
+]
+
 
 class DonlatError(Exception):
     """Base class for all package-specific errors."""

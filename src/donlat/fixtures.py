@@ -25,14 +25,7 @@ from .divisor import MaximalDivisorConfig, TreeConfig
 from .errors import UnknownFixtureError
 from .lattice import ClassVector
 
-__all__ = [
-    "FIXTURE_NAMES",
-    "ex333",
-    "fixture",
-    "ih522342",
-    "kato522332",
-    "odd_ih_divisor",
-]
+__all__ = ["FIXTURE_NAMES", "fixture"]
 
 FIXTURE_NAMES = ("ex333", "ih522342", "kato522332", "oddih-N")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
@@ -85,18 +86,37 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
     return tuple(out)
 
 
-def _anchor_classes(n: int) -> tuple[ClassVector, ...]:
-    """One representative per basis-permutation orbit of curve classes."""
-    out = []
-    for m in range(n):
-        for lead in (1, -2):
-            coeffs = [0] * n
-            coeffs[0] = lead
-            for j in range(1, m + 1):
-                coeffs[j] = -1
-            out.append(ClassVector(tuple(coeffs)))
-    out.sort(key=lambda c: c.coeffs)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _pool(n: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """(classes, kinds, pairing, adjacent) for rank n: the candidate
+    classes, their `classify` kinds, the table of their pairwise
+    `intersect` values and, per class, the indices meeting it once.
+
+    Every search of the oracle reads these instead of building its own.
+    One table is kept for each rank asked for, (n * 2^n)^2 small ints:
+    147,456 at n = 6.
+    """
+    cand = candidate_curve_classes(n)
+    pairing = tuple(tuple(intersect(a, b) for b in cand) for a in cand)
+    return (
+        cand,
+        tuple(classify(c) for c in cand),
+        pairing,
+        tuple(tuple(j for j, p in enumerate(row) if p == 1) for row in pairing),
+    )
+
+
+def _orbit_roots(kinds: Sequence[CurveKind]) -> list[int]:
+    """Indices of the classes with head 0 and tail {1, ..., t}.
+
+    A basis permutation maps a class to exactly the classes of the same
+    shape and tail size, so these are one class from each orbit.
+    """
+    return [
+        i
+        for i, k in enumerate(kinds)
+        if k.head == 0 and k.tail == set(range(1, len(k.tail) + 1))
+    ]
 
 
 # --- canonical form -------------------------------------------------------
@@ -183,16 +203,11 @@ def enumerate_cycles(
         configs.sort(key=lambda c: c.curves[0].coeffs)
         return tuple(configs)
 
-    cand = candidate_curve_classes(n)
-    index = {c: i for i, c in enumerate(cand)}
+    cand, kinds, pairing, adjacent = _pool(n)
     m = len(cand)
-    pairing = [[intersect(cand[i], cand[j]) for j in range(m)] for i in range(m)]
-    adjacent = [[j for j in range(m) if pairing[i][j] == 1] for i in range(m)]
-    is_b = [isinstance(classify(c), TypeB) for c in cand]
+    is_b = [isinstance(k, TypeB) for k in kinds]
     sq = [pairing[i][i] for i in range(m)]
-    first_pool = (
-        [index[c] for c in _anchor_classes(n)] if symmetry else list(range(m))
-    )
+    first_pool = _orbit_roots(kinds) if symmetry else range(m)
 
     def found() -> Iterable[tuple[int, ...]]:
         if s == 2:
@@ -282,16 +297,12 @@ class SweepReport:
 
 
 @dataclass(frozen=True)
-class DichotomyReport:
-    ok: bool
-    witnesses: tuple = ()
+class DichotomyReport(SweepReport):
     max_type_b_pairing: int | None = None
 
 
 @dataclass(frozen=True)
-class OverlapReport:
-    ok: bool
-    witnesses: tuple = ()
+class OverlapReport(SweepReport):
     positives: tuple = ()
 
 
@@ -327,14 +338,12 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     pairing must never be positive (which is why a cycle cannot hold
     two of them); the maximum found is reported.
     """
-    cand = candidate_curve_classes(n)
+    cand, kinds, pairing, _ = _pool(n)
     witnesses = []
     max_bb: int | None = None
-    for i, a in enumerate(cand):
-        ka = classify(a)
-        for b in cand[i + 1 :]:
-            kb = classify(b)
-            got = intersect(a, b)
+    for i, (a, ka) in enumerate(zip(cand, kinds)):
+        for j in range(i + 1, len(cand)):
+            b, kb, got = cand[j], kinds[j], pairing[i][j]
             if isinstance(ka, TypeB) and isinstance(kb, TypeB):
                 max_bb = got if max_bb is None else max(max_bb, got)
                 if got > 0:
@@ -360,20 +369,16 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
     whose middle curve meets both neighbours through its own head
     admits no such numbering and is excluded.
     """
-    cand = [c for c in candidate_curve_classes(n) if isinstance(classify(c), TypeA)]
-    kinds = [classify(c) for c in cand]
-    m = len(cand)
-    pairing = [[intersect(cand[i], cand[j]) for j in range(m)] for i in range(m)]
+    cand, kinds, pairing, adjacent = _pool(n)
+    is_a = [isinstance(k, TypeA) for k in kinds]
 
     def extend(seq: list[int]):
         if len(seq) == length:
             yield tuple(cand[i] for i in seq)
             return
         last = seq[-1]
-        for j in range(m):
-            if kinds[j].head not in kinds[last].tail:
-                continue
-            if pairing[last][j] != 1:
+        for j in adjacent[last]:
+            if not is_a[j] or kinds[j].head not in kinds[last].tail:
                 continue
             if any(pairing[p][j] != 0 for p in seq[:-1]):
                 continue
@@ -381,8 +386,9 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
             yield from extend(seq)
             seq.pop()
 
-    for root in range(m):
-        yield from extend([root])
+    for root in range(len(cand)):
+        if is_a[root]:
+            yield from extend([root])
 
 
 def verify_internonvide(n: int, j: int) -> OverlapReport:

@@ -11,6 +11,7 @@ import pytest
 from donlat import (
     CycleConfig,
     MaximalDivisorConfig,
+    TreeConfig,
     divisor_graph,
     fixture,
     to_dot,
@@ -96,6 +97,19 @@ def test_validate_rejects_and_names_the_violation(monkeypatch, capsys):
     lines = out.splitlines()
     assert lines[0] == "invalid"
     assert "violation pair-intersection: the two curves meet -2 times, need 2" in lines
+
+
+def test_validate_rejects_mismatched_alphas(monkeypatch, capsys):
+    payload = json.dumps(
+        {"n": 3, "curves": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]], "alphas": [7, 7, 7]}
+    )
+    code, out, _ = run(monkeypatch, capsys, ["validate"], stdin=payload)
+    assert code == 1
+    assert out.splitlines()[0] == "invalid"
+    assert out.splitlines()[1].startswith("violation alphas-mismatch: alphas [7, 7, 7]")
+    code, out, _ = run(monkeypatch, capsys, ["validate", "--format", "json"], stdin=payload)
+    assert code == 1
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["alphas-mismatch"]
 
 
 def test_validate_json_format(monkeypatch, capsys):
@@ -214,3 +228,15 @@ def test_dot_matches_the_library(monkeypatch, capsys):
     assert code == 0
     assert out == to_dot(divisor_graph(fixture("kato522332")))
     assert out.startswith("graph divisor {")
+
+
+def test_dot_refuses_an_invalid_divisor(monkeypatch, capsys):
+    kato = fixture("kato522332")
+    moved = MaximalDivisorConfig(kato.cycle, (TreeConfig(kato.trees[0].chain, 1),))
+    payload = json.dumps(moved.to_json())
+    code, out, err = run(monkeypatch, capsys, ["dot"], stdin=payload)
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == "invalid"
+    assert out.splitlines()[1].startswith("violation tree-attach-mismatch: ")
+    assert "graph" not in out
+    assert (code, out) == run(monkeypatch, capsys, ["validate"], stdin=payload)[:2]

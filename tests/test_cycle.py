@@ -192,3 +192,28 @@ def test_cycle_json_rejects_bad_payloads():
         CycleConfig.from_json({"n": True, "curves": [[0, -1]]})
     with pytest.raises(SchemaError):
         CycleConfig.from_json([1])
+
+
+def test_alphas_must_be_the_increasing_type_a_heads():
+    triangle = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    cfg = CycleConfig.from_json({"n": 3, "curves": triangle, "alphas": [7, 7, 7]})
+    assert validate_cycle(cfg).codes() == ("alphas-mismatch",)
+    assert validate_cycle(CycleConfig(3, cfg.curves, (0, 1, 2))).ok
+    # the same heads, listed for a rotated cycle, are no longer increasing
+    rotated = cfg.curves[1:] + cfg.curves[:1]
+    assert validate_cycle(CycleConfig(3, rotated, (1, 2, 0))).codes() == ("alphas-mismatch",)
+    # a type B curve has no head numbering
+    odd = odd_ih_cycle(3)
+    assert validate_cycle(odd).ok
+    assert validate_cycle(CycleConfig(3, odd.curves, (1, 1, 2))).codes() == ("alphas-mismatch",)
+
+
+def test_builders_set_alphas_that_validate():
+    for ks in ((2, 2), (5, 3), (2, 3, 4), (3, 3, 3, 2), (4, 2, 2, 5, 3)):
+        cfg = from_selfintersections(ks)
+        assert cfg.alphas is not None
+        assert validate_cycle(cfg).ok, ks
+        rotated = CycleConfig(cfg.n, cfg.curves[1:] + cfg.curves[:1], None)
+        renumbered = canonical_numbering(rotated)
+        assert renumbered.alphas is not None
+        assert validate_cycle(renumbered).ok, ks

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations, permutations, product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,19 +15,23 @@ from donlat import (
     CycleVerdict,
     IndexRangeError,
     NonCurve,
+    TypeA,
     betti_check,
     candidate_curve_classes,
     canonicalize_cycle,
     census,
+    classify,
     cycle_notation,
     effective_cap,
     enumerate_cycles,
     from_selfintersections,
+    intersect,
     validate_cycle,
     verify_chain_dichotomy,
     verify_internonvide,
     verify_rational_pattern,
 )
+from donlat.oracle import _orbit_roots, _pool, _type_a_chains
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -54,6 +60,54 @@ def test_candidate_pool():
     assert len(set(pool)) == len(pool)
     with pytest.raises(IndexRangeError):
         candidate_curve_classes(0)
+
+
+def test_pool_tables_match_intersect_and_classify():
+    for n in range(1, 6):
+        cand, kinds, pairing, adjacent = _pool(n)
+        assert cand == candidate_curve_classes(n)
+        for i, a in enumerate(cand):
+            assert kinds[i] == classify(a)
+            for j, b in enumerate(cand):
+                assert pairing[i][j] == intersect(a, b), (n, a, b)
+            assert list(adjacent[i]) == [j for j, b in enumerate(cand) if intersect(a, b) == 1]
+
+
+def test_orbit_roots_meet_every_basis_permutation_orbit_once():
+    for n in range(1, 6):
+        cand, kinds, _, _ = _pool(n)
+        roots = {cand[i] for i in _orbit_roots(kinds)}
+        assert len(roots) == 2 * n
+        seen = set()
+        for c in cand:
+            if c in seen:
+                continue
+            orbit = {
+                ClassVector(tuple(c.coeffs[k] for k in perm)) for perm in permutations(range(n))
+            }
+            assert orbit <= set(cand)
+            assert len(orbit & roots) == 1, (n, c)
+            seen |= orbit
+        assert seen == set(cand)
+
+
+def _is_oriented_chain(chain):
+    for p, q in combinations(range(len(chain)), 2):
+        meet = intersect(chain[p], chain[q])
+        if q > p + 1:
+            if meet != 0:
+                return False
+        elif meet != 1 or classify(chain[q]).head not in classify(chain[p]).tail:
+            return False
+    return True
+
+
+def test_type_a_chains_match_a_naive_filter():
+    for n in range(1, 5):
+        type_a = [c for c in candidate_curve_classes(n) if isinstance(classify(c), TypeA)]
+        for length in range(1, 4):
+            naive = [c for c in product(type_a, repeat=length) if _is_oriented_chain(c)]
+            assert list(_type_a_chains(n, length)) == naive, (n, length)
 
 
 def test_enumeration_counts():
@@ -89,7 +143,13 @@ def test_rank_three_triangles_in_detail():
 
 
 def test_raw_mode_covers_every_symmetry_class():
-    for n, s, raw_count in ((2, 2, 14), (3, 3, 180)):
+    for n, s, raw_count in (
+        (2, 2, 14),
+        (3, 3, 180),
+        (4, 2, 324),
+        (4, 3, 1728),
+        (4, 4, 3168),
+    ):
         raw = enumerate_cycles(n, s, symmetry=False)
         assert len(raw) == raw_count
         assert {canonicalize_cycle(c) for c in raw} == set(enumerate_cycles(n, s))
