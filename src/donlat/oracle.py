@@ -20,7 +20,9 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .curveclass import (
     CurveKind,
@@ -33,7 +35,7 @@ from .curveclass import (
 )
 from .cycle import CycleConfig, CycleVerdict, betti_check
 from .errors import CapExceededError, IndexRangeError
-from .lattice import ClassVector, intersect, zero
+from .lattice import ClassVector, zero
 
 __all__ = [
     "DEFAULT_CAP",
@@ -86,23 +88,65 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pool(n: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """(classes, kinds, pairing, adjacent) for rank n: the candidate
-    classes, their `classify` kinds, the table of their pairwise
-    `intersect` values and, per class, the indices meeting it once.
+class _Pool(NamedTuple):
+    classes: tuple[ClassVector, ...]
+    kinds: tuple[CurveKind, ...]
+    pairing: tuple[tuple[int, ...], ...]
+    adjacent: tuple[tuple[int, ...], ...]
+    meets_once: tuple[int, ...]
+    apart: tuple[int, ...]
+    type_b: int
+    square_at_least: Mapping[int, int]
 
-    Every search of the oracle reads these instead of building its own.
-    One table is kept for each rank asked for, (n * 2^n)^2 small ints:
-    147,456 at n = 6.
+
+def _mask(indices: Iterable[int]) -> int:
+    """The bitset with the given bits set."""
+    return sum(1 << j for j in indices)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The bits set in mask, from low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=2)
+def _pool(n: int) -> _Pool:
+    """The candidate classes of rank n with the tables every search of
+    the oracle reads instead of building its own: their `classify`
+    kinds, the table of their pairwise `intersect` values and, per
+    class, the indices meeting it once.
+
+    The same relations are kept as bitsets over class indices (bit j
+    stands for class j): `meets_once[i]` and `apart[i]` hold the
+    classes pairing 1 and 0 with class i, `type_b` the type B classes
+    and `square_at_least[v]`, for each square v in the pool, the
+    classes whose square is at least v.
+
+    A table holds (n * 2^n)^2 small ints, 147,456 at n = 6, so only the
+    two ranks used last are kept: enough for work that alternates
+    between two ranks, such as sweeps at n = 5 and n = 6.
     """
     cand = candidate_curve_classes(n)
-    pairing = tuple(tuple(intersect(a, b) for b in cand) for a in cand)
-    return (
+    rows = [c.coeffs for c in cand]
+    # the arithmetic of `intersect`, without its rank check per pair
+    pairing = tuple(tuple(-sum(map(mul, a, b)) for b in rows) for a in rows)
+    kinds = tuple(classify(c) for c in cand)
+    adjacent = tuple(tuple(j for j, p in enumerate(row) if p == 1) for row in pairing)
+    squares = [pairing[i][i] for i in range(len(cand))]
+    return _Pool(
         cand,
-        tuple(classify(c) for c in cand),
+        kinds,
         pairing,
-        tuple(tuple(j for j, p in enumerate(row) if p == 1) for row in pairing),
+        adjacent,
+        tuple(map(_mask, adjacent)),
+        tuple(_mask(j for j, p in enumerate(row) if p == 0) for row in pairing),
+        _mask(i for i, k in enumerate(kinds) if isinstance(k, TypeB)),
+        MappingProxyType(
+            {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
+        ),
     )
 
 
@@ -121,6 +165,16 @@ def _orbit_roots(kinds: Sequence[CurveKind]) -> list[int]:
 
 # --- canonical form -------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _dihedral_orders(s: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct rotations and reflections of the curve order 0..s-1."""
+    return tuple(
+        dict.fromkeys(
+            tuple((r + d * i) % s for i in range(s)) for r in range(s) for d in (1, -1)
+        )
+    )
+
+
 def _canonical_key(
     rows: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -128,32 +182,21 @@ def _canonical_key(
     action on curve order composed with all basis-index permutations.
 
     For a fixed curve order the optimal basis permutation just sorts the
-    coefficient columns by their column tuples, so only the 2s dihedral
-    orders need explicit trying.
+    coefficient columns, so only the 2s dihedral orders need explicit
+    trying.  The self-intersections are compared first and do not depend
+    on the columns, so columns are sorted only for the orders whose
+    sequence of squares is the least.
     """
-    s = len(rows)
-    n = len(rows[0])
-    if s == 1:
-        orders: Iterable[tuple[int, ...]] = [(0,)]
-    elif s == 2:
-        orders = [(0, 1), (1, 0)]
-    else:
-        orders = [
-            tuple((r + d * i) % s for i in range(s))
-            for r in range(s)
-            for d in (1, -1)
-        ]
-    best = None
-    for order in orders:
-        mat = [rows[i] for i in order]
-        selfs = tuple(-sum(a * a for a in row) for row in mat)
-        cols = sorted(range(n), key=lambda j: tuple(mat[r][j] for r in range(s)))
-        arranged = tuple(tuple(mat[r][j] for j in cols) for r in range(s))
-        key = (selfs, arranged)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    squares = [-sum(map(mul, row, row)) for row in rows]
+    by_order = [
+        (tuple(squares[i] for i in order), order) for order in _dihedral_orders(len(rows))
+    ]
+    selfs = min(by_order)[0]
+    return min(
+        (selfs, tuple(zip(*sorted(zip(*(rows[i] for i in order))))))
+        for order_selfs, order in by_order
+        if order_selfs == selfs
+    )
 
 
 def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
@@ -203,11 +246,13 @@ def enumerate_cycles(
         configs.sort(key=lambda c: c.curves[0].coeffs)
         return tuple(configs)
 
-    cand, kinds, pairing, adjacent = _pool(n)
+    pool = _pool(n)
+    cand, pairing, meets_once, apart = pool.classes, pool.pairing, pool.meets_once, pool.apart
     m = len(cand)
-    is_b = [isinstance(k, TypeB) for k in kinds]
+    is_b = [isinstance(k, TypeB) for k in pool.kinds]
     sq = [pairing[i][i] for i in range(m)]
-    first_pool = _orbit_roots(kinds) if symmetry else range(m)
+    everything = (1 << m) - 1
+    first_pool = _orbit_roots(pool.kinds) if symmetry else range(m)
 
     def found() -> Iterable[tuple[int, ...]]:
         if s == 2:
@@ -217,33 +262,36 @@ def enumerate_cycles(
                         yield (f, j)
             return
 
-        def extend(seq: list[int], b_count: int) -> Iterable[tuple[int, ...]]:
+        def extend(seq: list[int], allowed: int, free: int) -> Iterable[tuple[int, ...]]:
+            # allowed: the classes no placed curve rules out by type or
+            # square; free: those meeting none of the interior curves
             k = len(seq)
-            if k == s:
-                yield tuple(seq)
+            root, last = seq[0], seq[-1]
+            nxt = meets_once[last] & allowed & free
+            if k == s - 1:
+                nxt &= meets_once[root]
+                if symmetry:
+                    # the reflected path closes with the larger of the
+                    # two squares next to the root and finds it anyway
+                    nxt &= pool.square_at_least[sq[seq[1]]]
+                for j in _bits(nxt):
+                    yield (*seq, j)
                 return
-            closing = k == s - 1
-            for j in adjacent[seq[-1]]:
-                if b_count + is_b[j] > 1:
-                    continue
-                if symmetry and sq[j] < sq[seq[0]]:
-                    # the canonical rotation starts at a minimal square,
-                    # so some sibling path finds this class anyway
-                    continue
-                if symmetry and closing and sq[j] < sq[seq[1]]:
-                    # likewise the reflected path, which closes with the
-                    # larger of the two squares next to the root
-                    continue
-                if k > 1 and pairing[seq[0]][j] != (1 if closing else 0):
-                    continue
-                if any(pairing[seq[p]][j] != 0 for p in range(1, k - 1)):
-                    continue
+            if k > 1:
+                nxt &= apart[root]
+                free &= apart[last]
+            for j in _bits(nxt):
                 seq.append(j)
-                yield from extend(seq, b_count + is_b[j])
+                yield from extend(seq, allowed & ~pool.type_b if is_b[j] else allowed, free)
                 seq.pop()
 
         for f in first_pool:
-            yield from extend([f], 1 if is_b[f] else 0)
+            allowed = everything & ~pool.type_b if is_b[f] else everything
+            if symmetry:
+                # the canonical rotation starts at a minimal square, so
+                # some sibling root finds any class with a smaller one
+                allowed &= pool.square_at_least[sq[f]]
+            yield from extend([f], allowed, everything)
 
     if not symmetry:
         return tuple(CycleConfig(n, tuple(cand[i] for i in seq), None) for seq in found())
@@ -338,7 +386,7 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     pairing must never be positive (which is why a cycle cannot hold
     two of them); the maximum found is reported.
     """
-    cand, kinds, pairing, _ = _pool(n)
+    cand, kinds, pairing, *_ = _pool(n)
     witnesses = []
     max_bb: int | None = None
     for i, (a, ka) in enumerate(zip(cand, kinds)):
@@ -369,10 +417,12 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
     whose middle curve meets both neighbours through its own head
     admits no such numbering and is excluded.
     """
-    cand, kinds, pairing, adjacent = _pool(n)
+    pool = _pool(n)
+    cand, kinds, adjacent, apart = pool.classes, pool.kinds, pool.adjacent, pool.apart
     is_a = [isinstance(k, TypeA) for k in kinds]
 
-    def extend(seq: list[int]):
+    def extend(seq: list[int], free: int):
+        # free: the classes meeting none of seq[:-1]
         if len(seq) == length:
             yield tuple(cand[i] for i in seq)
             return
@@ -380,15 +430,15 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
         for j in adjacent[last]:
             if not is_a[j] or kinds[j].head not in kinds[last].tail:
                 continue
-            if any(pairing[p][j] != 0 for p in seq[:-1]):
+            if not free >> j & 1:
                 continue
             seq.append(j)
-            yield from extend(seq)
+            yield from extend(seq, free & apart[last])
             seq.pop()
 
     for root in range(len(cand)):
         if is_a[root]:
-            yield from extend([root])
+            yield from extend([root], (1 << len(cand)) - 1)
 
 
 def verify_internonvide(n: int, j: int) -> OverlapReport:

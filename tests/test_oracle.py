@@ -16,6 +16,7 @@ from donlat import (
     IndexRangeError,
     NonCurve,
     TypeA,
+    TypeB,
     betti_check,
     candidate_curve_classes,
     canonicalize_cycle,
@@ -31,7 +32,7 @@ from donlat import (
     verify_internonvide,
     verify_rational_pattern,
 )
-from donlat.oracle import _orbit_roots, _pool, _type_a_chains
+from donlat.oracle import _canonical_key, _orbit_roots, _pool, _type_a_chains
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -64,7 +65,7 @@ def test_candidate_pool():
 
 def test_pool_tables_match_intersect_and_classify():
     for n in range(1, 6):
-        cand, kinds, pairing, adjacent = _pool(n)
+        cand, kinds, pairing, adjacent, *_ = _pool(n)
         assert cand == candidate_curve_classes(n)
         for i, a in enumerate(cand):
             assert kinds[i] == classify(a)
@@ -73,9 +74,30 @@ def test_pool_tables_match_intersect_and_classify():
             assert list(adjacent[i]) == [j for j, b in enumerate(cand) if intersect(a, b) == 1]
 
 
+def test_pool_bitsets_match_the_pairing_table():
+    for n in range(1, 6):
+        pool = _pool(n)
+        m = len(pool.classes)
+        for i in range(m):
+            row = pool.pairing[i]
+            assert pool.meets_once[i] == sum(1 << j for j in range(m) if row[j] == 1)
+            assert pool.apart[i] == sum(1 << j for j in range(m) if row[j] == 0)
+        assert pool.type_b == sum(1 << i for i, k in enumerate(pool.kinds) if isinstance(k, TypeB))
+        squares = [pool.pairing[i][i] for i in range(m)]
+        assert set(pool.square_at_least) == set(squares)
+        for v, mask in pool.square_at_least.items():
+            assert mask == sum(1 << i for i, q in enumerate(squares) if q >= v)
+
+
+def test_pool_keeps_only_the_last_two_ranks():
+    for n in (1, 2, 3):
+        _pool(n)
+    assert _pool.cache_info().currsize == 2
+
+
 def test_orbit_roots_meet_every_basis_permutation_orbit_once():
     for n in range(1, 6):
-        cand, kinds, _, _ = _pool(n)
+        cand, kinds, *_ = _pool(n)
         roots = {cand[i] for i in _orbit_roots(kinds)}
         assert len(roots) == 2 * n
         seen = set()
@@ -142,6 +164,84 @@ def test_rank_three_triangles_in_detail():
     ]
 
 
+def _reference_raw_cycles(n, s):
+    """Every ordered cycle by the list-based search that the bitset
+    search in `enumerate_cycles` replaced: each next curve is checked
+    index by index against a pairing table built from `intersect`."""
+    if s == 1:
+        rows = (
+            tuple(-1 if j in I else 0 for j in range(n))
+            for r in range(1, n + 1)
+            for I in combinations(range(n), r)
+        )
+        return [(ClassVector(row),) for row in sorted(rows)]
+    cand = candidate_curve_classes(n)
+    m = len(cand)
+    pairing = [[intersect(a, b) for b in cand] for a in cand]
+    is_b = [isinstance(classify(c), TypeB) for c in cand]
+    if s == 2:
+        return [
+            (cand[f], cand[j])
+            for f in range(m)
+            for j in range(m)
+            if j != f and pairing[f][j] == 2 and is_b[f] + is_b[j] <= 1
+        ]
+    out = []
+
+    def extend(seq, b_count):
+        k = len(seq)
+        if k == s:
+            out.append(tuple(cand[i] for i in seq))
+            return
+        closing = k == s - 1
+        for j in range(m):
+            if pairing[seq[-1]][j] != 1 or b_count + is_b[j] > 1:
+                continue
+            if k > 1 and pairing[seq[0]][j] != (1 if closing else 0):
+                continue
+            if any(pairing[seq[p]][j] != 0 for p in range(1, k - 1)):
+                continue
+            seq.append(j)
+            extend(seq, b_count + is_b[j])
+            seq.pop()
+
+    for f in range(m):
+        extend([f], is_b[f])
+    return out
+
+
+def test_raw_mode_matches_the_list_based_search_in_order():
+    cases = [(n, s) for n in range(1, 5) for s in range(1, n + 1)] + [(5, 3)]
+    for n, s in cases:
+        got = [cfg.curves for cfg in enumerate_cycles(n, s, symmetry=False)]
+        assert got == _reference_raw_cycles(n, s), (n, s)
+
+
+def _brute_force_key(rows):
+    """_canonical_key by trying every basis permutation with every
+    rotation and reflection of the curve order."""
+    s, n = len(rows), len(rows[0])
+    orders = [tuple((r + d * i) % s for i in range(s)) for r in range(s) for d in (1, -1)]
+    ordered = [
+        (tuple(-sum(a * a for a in rows[i]) for i in order), [rows[i] for i in order])
+        for order in orders
+    ]
+    return min(
+        (selfs, tuple(tuple(row[k] for k in perm) for row in mat))
+        for perm in permutations(range(n))
+        for selfs, mat in ordered
+    )
+
+
+def test_canonical_key_matches_a_brute_force_search():
+    cases = [(n, s, False) for n in range(1, 4) for s in range(1, n + 1)]
+    cases += [(n, s, True) for n in (4, 5) for s in range(1, n + 1)]
+    for n, s, symmetry in cases:
+        for cfg in enumerate_cycles(n, s, symmetry=symmetry):
+            rows = [c.coeffs for c in cfg.curves]
+            assert _canonical_key(rows) == _brute_force_key(rows), (n, s, rows)
+
+
 def test_raw_mode_covers_every_symmetry_class():
     for n, s, raw_count in (
         (2, 2, 14),
@@ -149,6 +249,7 @@ def test_raw_mode_covers_every_symmetry_class():
         (4, 2, 324),
         (4, 3, 1728),
         (4, 4, 3168),
+        (5, 3, 13440),
     ):
         raw = enumerate_cycles(n, s, symmetry=False)
         assert len(raw) == raw_count
@@ -270,3 +371,8 @@ def test_internonvide_sweep():
 def test_larger_rank_regression():
     # one deliberately heavier run, still around a second
     assert len(enumerate_cycles(6, 6, cap=6)) == 228
+
+
+def test_rank_six_counts():
+    counts = [len(enumerate_cycles(6, s, cap=6)) for s in range(1, 6)]
+    assert counts == [6, 30, 63, 163, 253]
