@@ -44,18 +44,31 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
+# longest integer literal accepted; products and sums of such numbers
+# stay well inside Python's 4300-digit limit for printing an int
+_MAX_DIGITS = 1000
+
+
+def _parse_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > _MAX_DIGITS:
+        raise SchemaError(f"integer literal longer than {_MAX_DIGITS} digits")
+    return int(literal)
+
+
 def _read_json(path: str) -> object:
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return json.loads(raw, parse_int=_parse_int)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; nesting deeper than the
+        # interpreter's recursion limit raises RecursionError
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 

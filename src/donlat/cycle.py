@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, basis, e_sum, intersect, square, zero
+from .lattice import ClassVector, _pairings, basis, e_sum, intersect, square, zero
 
 __all__ = [
     "BettiResult",
@@ -180,24 +180,25 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
                 Violation("pair-intersection", f"the two curves meet {got} times, need 2")
             )
     else:
-        for i in range(s):
-            for j in range(i + 1, s):
-                got = intersect(cfg.curves[i], cfg.curves[j])
-                adjacent = j - i == 1 or (i == 0 and j == s - 1)
-                if adjacent and got != 1:
-                    bad.append(
-                        Violation(
-                            "adjacent-intersection",
-                            f"consecutive curves {i},{j} meet {got} times, need 1",
-                        )
+        # only ring pairs and meeting pairs can break the pattern
+        pairs = _pairings(cfg.curves)
+        ring = {(i, i + 1) for i in range(s - 1)} | {(0, s - 1)}
+        for i, j in sorted(ring | pairs.keys()):
+            got = pairs.get((i, j), 0)
+            if (i, j) not in ring:
+                bad.append(
+                    Violation(
+                        "nonadjacent-intersection",
+                        f"non-consecutive curves {i},{j} meet {got} times, need 0",
                     )
-                if not adjacent and got != 0:
-                    bad.append(
-                        Violation(
-                            "nonadjacent-intersection",
-                            f"non-consecutive curves {i},{j} meet {got} times, need 0",
-                        )
+                )
+            elif got != 1:
+                bad.append(
+                    Violation(
+                        "adjacent-intersection",
+                        f"consecutive curves {i},{j} meet {got} times, need 1",
                     )
+                )
     return CycleReport(tuple(bad))
 
 
@@ -344,8 +345,13 @@ def cycle_notation(cfg: CycleConfig) -> str:
 
 def intersection_matrix(cfg: CycleConfig) -> tuple[tuple[int, ...], ...]:
     """Full pairwise intersection matrix in the stored curve order."""
+    pairs = _pairings(cfg.curves)
     return tuple(
-        tuple(intersect(a, b) for b in cfg.curves) for a in cfg.curves
+        tuple(
+            square(a) if i == j else pairs.get((min(i, j), max(i, j)), 0)
+            for j in range(cfg.s)
+        )
+        for i, a in enumerate(cfg.curves)
     )
 
 

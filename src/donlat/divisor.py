@@ -56,7 +56,7 @@ from .errors import (
     NotTreeShapedError,
     SchemaError,
 )
-from .lattice import ClassVector, e_sum, intersect, square, zero
+from .lattice import ClassVector, _pairings, e_sum, intersect, square, zero
 
 __all__ = [
     "DivisorReport",
@@ -196,6 +196,24 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
         else:
             seen_attach[tree.attach] = t_idx
 
+    # sort every nonzero pair into its check; cycle pairs were checked above
+    pairs = _pairings(cfg.all_curves())
+    owner = [(None, pos) for pos in range(s)] + [
+        (t_idx, c_idx) for t_idx, tree in enumerate(cfg.trees) for c_idx in range(len(tree.chain))
+    ]
+    links: list[dict[tuple[int, int], int]] = [{} for _ in cfg.trees]
+    hits: list[list[list[tuple[int, int]]]] = [[[] for _ in tree.chain] for tree in cfg.trees]
+    overlaps: list[tuple[int, int, int, int]] = []
+    for (g, h), got in sorted(pairs.items()):
+        (tree_g, i), (tree_h, j) = owner[g], owner[h]
+        if tree_g is None:
+            if tree_h is not None:
+                hits[tree_h][j].append((i, got))
+        elif tree_g == tree_h:
+            links[tree_g][i, j] = got
+        else:
+            overlaps.append((tree_g, tree_h, i, j))
+
     for t_idx, tree in enumerate(cfg.trees):
         for c_idx, c in enumerate(tree.chain):
             if not isinstance(classify(c), TypeA):
@@ -206,54 +224,44 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
                         "only the cycle may carry a -2 head",
                     )
                 )
-        m = len(tree.chain)
-        for i in range(m):
-            for j in range(i + 1, m):
-                got = intersect(tree.chain[i], tree.chain[j])
-                want = 1 if j == i + 1 else 0
-                if got != want:
-                    bad.append(
-                        Violation(
-                            "tree-not-chain",
-                            f"tree {t_idx} curves {i},{j} meet {got} times, need {want}; "
-                            "trees must be chains",
-                        )
+        steps = {(i, i + 1) for i in range(len(tree.chain) - 1)}
+        for i, j in sorted(steps | links[t_idx].keys()):
+            got = links[t_idx].get((i, j), 0)
+            want = 1 if j == i + 1 else 0
+            if got != want:
+                bad.append(
+                    Violation(
+                        "tree-not-chain",
+                        f"tree {t_idx} curves {i},{j} meet {got} times, need {want}; "
+                        "trees must be chains",
                     )
+                )
         if 0 <= tree.attach < s:
-            for c_idx, c in enumerate(tree.chain):
-                hits = [
-                    (pos, intersect(c, cc))
-                    for pos, cc in enumerate(cfg.cycle.curves)
-                    if intersect(c, cc) != 0
-                ]
+            for c_idx, curve_hits in enumerate(hits[t_idx]):
                 if c_idx == 0:
-                    if hits != [(tree.attach, 1)]:
+                    if curve_hits != [(tree.attach, 1)]:
                         bad.append(
                             Violation(
                                 "tree-attach-mismatch",
-                                f"tree {t_idx} root meets cycle at {hits}, "
+                                f"tree {t_idx} root meets cycle at {curve_hits}, "
                                 f"need exactly one point on curve {tree.attach}",
                             )
                         )
-                elif hits:
+                elif curve_hits:
                     bad.append(
                         Violation(
                             "tree-interior-meets-cycle",
-                            f"tree {t_idx} curve {c_idx} meets the cycle at {hits}",
+                            f"tree {t_idx} curve {c_idx} meets the cycle at {curve_hits}",
                         )
                     )
 
-    for a_idx in range(len(cfg.trees)):
-        for b_idx in range(a_idx + 1, len(cfg.trees)):
-            for i, ca in enumerate(cfg.trees[a_idx].chain):
-                for j, cb in enumerate(cfg.trees[b_idx].chain):
-                    if intersect(ca, cb) != 0:
-                        bad.append(
-                            Violation(
-                                "trees-overlap",
-                                f"tree {a_idx} curve {i} meets tree {b_idx} curve {j}",
-                            )
-                        )
+    for a_idx, b_idx, i, j in sorted(overlaps):
+        bad.append(
+            Violation(
+                "trees-overlap",
+                f"tree {a_idx} curve {i} meets tree {b_idx} curve {j}",
+            )
+        )
 
     if bad:
         return DivisorReport(tuple(bad))
@@ -321,29 +329,29 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
     return 1 + value // 2
 
 
-def _pairwise_graph(curves: Sequence[ClassVector]) -> list[list[int]]:
-    """Symmetric matrix of pairwise intersection numbers.
+def _pairwise_graph(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
+    """Edges {(i, j): intersection number} of the dual graph, i < j.
 
     Raises:
         NotTreeShapedError: some distinct pair meets negatively (the
             classes cannot be distinct curves on one surface).
     """
-    m = len(curves)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            got = intersect(curves[i], curves[j])
-            if got < 0:
-                raise NotTreeShapedError(
-                    f"components {i} and {j} meet {got} times; "
-                    "distinct curves never pair negatively"
-                )
-            mat[i][j] = mat[j][i] = got
-    return mat
+    edges = _pairings(curves)
+    for (i, j), got in sorted(edges.items()):
+        if got < 0:
+            raise NotTreeShapedError(
+                f"components {i} and {j} meet {got} times; "
+                "distinct curves never pair negatively"
+            )
+    return edges
 
 
-def _components(mat: list[list[int]]) -> list[list[int]]:
-    m = len(mat)
+def _components(m: int, edges: dict[tuple[int, int], int]) -> list[list[int]]:
+    """Connected components of the graph on range(m), each sorted."""
+    near: list[list[int]] = [[] for _ in range(m)]
+    for i, j in edges:
+        near[i].append(j)
+        near[j].append(i)
     seen: set[int] = set()
     out: list[list[int]] = []
     for start in range(m):
@@ -354,8 +362,8 @@ def _components(mat: list[list[int]]) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in range(m):
-                if w not in seen and mat[v][w] > 0:
+            for w in near[v]:
+                if w not in seen:
                     seen.add(w)
                     stack.append(w)
         out.append(sorted(comp))
@@ -372,11 +380,11 @@ def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozense
     """
     if not curves:
         raise NotTreeShapedError("empty configuration")
-    mat = _pairwise_graph(curves)
+    edges = _pairwise_graph(curves)
     m = len(curves)
-    if len(_components(mat)) != 1:
+    if len(_components(m, edges)) != 1:
         raise NotTreeShapedError("configuration is disconnected")
-    edge_load = sum(mat[i][j] for i in range(m) for j in range(i + 1, m))
+    edge_load = sum(edges.values())
     if edge_load != m - 1:
         raise NotTreeShapedError(
             f"dual graph carries {edge_load} meeting points over {m} curves; "
@@ -451,12 +459,11 @@ def second_component_check(
                 )
             nodal_flags.append(True)
 
-    mat = _pairwise_graph(other)
-    comps = _components(mat)
-    has_cycle = any(nodal_flags) or any(
-        sum(mat[i][j] for i in comp for j in comp if i < j) >= len(comp)
-        for comp in comps
-    )
+    edges = _pairwise_graph(other)
+    comps = _components(len(other), edges)
+    # each connected component carries at least one meeting point fewer
+    # than its curves, and exactly that many when it is a tree
+    has_cycle = any(nodal_flags) or sum(edges.values()) > len(other) - len(comps)
     if has_cycle:
         notes = []
         conflict = bool(divisor.trees)

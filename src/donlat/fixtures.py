@@ -11,7 +11,7 @@ Four families used throughout the tests and the command line tool:
                  first cycle curve.
   * oddih-N:     the rank-N cycle with self-intersections
                  (N+2, 2, ..., 2), one type B curve and N-1 type A
-                 curves.
+                 curves, for 2 <= N <= 1024.
 
 Every fixture is returned as a full divisor configuration (cycle plus
 attached trees, possibly none) so it can be piped straight into the
@@ -28,6 +28,8 @@ from .lattice import ClassVector
 __all__ = ["FIXTURE_NAMES", "fixture"]
 
 FIXTURE_NAMES = ("ex333", "ih522342", "kato522332", "oddih-N")
+# largest rank oddih-N accepts: the fixture holds N curves of N coefficients
+_ODDIH_MAX_RANK = 1024
 
 
 def ex333() -> MaximalDivisorConfig:
@@ -95,7 +97,9 @@ def fixture(name: str) -> MaximalDivisorConfig:
             n = int(name[len("oddih-") :])
         except ValueError:
             raise UnknownFixtureError(f"bad rank in fixture name {name!r}") from None
-        if n < 2:
-            raise UnknownFixtureError(f"oddih fixtures need rank >= 2, got {n}")
+        if not 2 <= n <= _ODDIH_MAX_RANK:
+            raise UnknownFixtureError(
+                f"oddih fixtures need a rank in [2, {_ODDIH_MAX_RANK}], got {n}"
+            )
         return odd_ih_divisor(n)
     raise UnknownFixtureError(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .curveclass import TypeA, classify
 from .divisor import MaximalDivisorConfig
-from .lattice import intersect, square
+from .lattice import _pairings, square
 
 __all__ = ["DivisorGraph", "divisor_graph", "to_dot"]
 
@@ -41,11 +41,9 @@ def divisor_graph(divisor: MaximalDivisorConfig) -> DivisorGraph:
     edges = []
     if divisor.cycle.s == 1:
         edges.append((0, 0, 1))
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            mult = intersect(curves[i], curves[j])
-            if mult >= 1:
-                edges.append((i, j, mult))
+    for (i, j), mult in sorted(_pairings(curves).items()):
+        if mult >= 1:
+            edges.append((i, j, mult))
     return DivisorGraph(vertices, tuple(edges))
 
 

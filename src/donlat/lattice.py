@@ -18,7 +18,7 @@ coefficient -1 exactly on I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexRangeError, RankMismatchError, SchemaError
 
@@ -150,6 +150,37 @@ def intersect(x: ClassVector, y: ClassVector) -> int:
     """
     _check_same_rank(x, y)
     return -sum(a * b for a, b in zip(x.coeffs, y.coeffs))
+
+
+def _pairings(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
+    """Every nonzero pairing curves[i] . curves[j] with i < j, keyed (i, j).
+
+    A sparse Gram product: each curve's nonzero coefficients are matched
+    against the earlier curves that are nonzero at the same basis index,
+    so the cost grows with the nonzero coefficients and the pairs that
+    share an index, not with the square of the number of curves.  A pair
+    missing from the result pairs to 0.
+
+    Raises:
+        RankMismatchError: some curve's rank differs from the first's.
+    """
+    n = len(curves[0].coeffs) if curves else 0
+    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out: dict[tuple[int, int], int] = {}
+    for j, y in enumerate(curves):
+        if len(y.coeffs) != n:
+            raise RankMismatchError(f"rank mismatch: {n} vs {len(y.coeffs)}")
+        row: dict[int, int] = {}
+        for k, b in enumerate(y.coeffs):
+            if b:
+                earlier = column[k]
+                for i, a in earlier:
+                    row[i] = row.get(i, 0) - a * b
+                earlier.append((j, b))
+        for i, got in row.items():
+            if got:
+                out[i, j] = got
+    return out
 
 
 def square(x: ClassVector) -> int:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donlat import (
     CycleConfig,
@@ -240,3 +244,94 @@ def test_dot_refuses_an_invalid_divisor(monkeypatch, capsys):
     assert out.splitlines()[1].startswith("violation tree-attach-mismatch: ")
     assert "graph" not in out
     assert (code, out) == run(monkeypatch, capsys, ["validate"], stdin=payload)[:2]
+
+
+def test_oddih_rank_is_bounded(monkeypatch, capsys):
+    code, out, err = run(monkeypatch, capsys, ["fixture", "oddih-5000"])
+    assert code == 2 and out == ""
+    assert err == "error: oddih fixtures need a rank in [2, 1024], got 5000\n"
+
+
+def test_unreadable_json_exits_two(tmp_path, monkeypatch, capsys):
+    """Inputs that broke the JSON reader with a traceback."""
+    overlong = "[1" + "0" * 1000 + "]"
+    deep = "[" * 100_000
+    for raw in (overlong, deep, "9" * 5000):
+        code, out, err = run(monkeypatch, capsys, ["classify"], stdin=raw)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"[\xff]")
+    code, _, err = run(monkeypatch, capsys, ["validate", str(path)])
+    assert code == 2 and err.startswith("error: cannot read")
+    # the longest accepted literals still print: their pairings double the digits
+    widest = "1" + "0" * 999
+    payload = f'{{"n": 2, "curves": [[{widest}, 0], [{widest}, 0]]}}'
+    code, out, _ = run(monkeypatch, capsys, ["validate"], stdin=payload)
+    assert code == 1 and "pair-intersection" in out
+
+
+KEYS = ("n", "curves", "alphas", "cycle", "trees", "chain", "attach")
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 4)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers(-3, 3), max_size=5)
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=24,
+)
+vectors = st.lists(st.integers(-3, 2), min_size=1, max_size=4)
+cycles = st.fixed_dictionaries(
+    {"n": st.integers(0, 4), "curves": st.lists(vectors, min_size=1, max_size=5)},
+    optional={"alphas": st.none() | st.lists(st.integers(-1, 4), max_size=5)},
+)
+divisors = st.fixed_dictionaries(
+    {
+        "cycle": cycles,
+        "trees": st.lists(
+            st.fixed_dictionaries(
+                {"chain": st.lists(vectors, min_size=1, max_size=3), "attach": st.integers(-1, 5)}
+            ),
+            max_size=3,
+        ),
+    }
+)
+KNOWN = [fixture(name).to_json() for name in ("ex333", "ih522342", "kato522332", "oddih-4")]
+KNOWN += [doc["cycle"] for doc in KNOWN] + [{"n": 3, "curves": [[-1, 0, -1]]}]
+
+
+@st.composite
+def near_valid(draw):
+    """A fixture or its bare cycle with up to two coefficients changed."""
+    doc = copy.deepcopy(draw(st.sampled_from(KNOWN)))
+    rows = doc.get("cycle", doc)["curves"] + [r for t in doc.get("trees", ()) for r in t["chain"]]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(-3, 3))
+    return doc
+
+
+COMMANDS = (["classify"], ["validate"], ["validate", "--format", "json"], ["smooth", "--i", "0"], ["dot"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=documents | cycles | divisors | vectors | near_valid(), argv=st.sampled_from(COMMANDS))
+@example(document=fixture("kato522332").to_json(), argv=["dot"])
+@example(document={"n": 1, "curves": [[-1]]}, argv=["smooth", "--i", "0"])
+def test_arbitrary_json_gets_a_documented_exit_code(document, argv):
+    """classify, validate, smooth and dot on any JSON document: exit
+    0, 1 or 2, and never an exception."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(document))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)

@@ -19,6 +19,7 @@ from donlat import (
     cycle_class,
     fixture,
     from_selfintersections,
+    odd_ih_cycle,
     smooth_node,
     validate_cycle,
 )
@@ -109,3 +110,21 @@ def test_smoothing_all_the_way_down(ks):
         out, last = smooth_node(state, 0)
         assert out == EllipticOutcome(final)
         assert last is None
+
+
+def test_full_walk_of_a_long_cycle():
+    """Smoothing odd_ih_cycle(64) down to one curve and then its node:
+    64 validations of cycles of up to 64 curves."""
+    cfg = odd_ih_cycle(64)
+    start = cycle_class(cfg)
+    ejected = []
+    out = cfg
+    while isinstance(out, CycleConfig):
+        assert cycle_class(out) == start
+        out, e = smooth_node(out, 0)
+        if e is not None:
+            ejected.append(e)
+    assert isinstance(out, EllipticOutcome)
+    assert out.curve_class == start.vector
+    assert len(ejected) == 63
+    assert set(ejected) == {basis(i, 64) for i in range(1, 64)}

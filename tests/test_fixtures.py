@@ -87,3 +87,10 @@ def test_unknown_names():
     for name in ("nope", "oddih-", "oddih-x", "oddih-1", "EX333"):
         with pytest.raises(UnknownFixtureError):
             fixture(name)
+
+
+def test_oddih_rank_is_bounded():
+    assert fixture("oddih-1024").cycle.s == 1024
+    for name in ("oddih-1025", "oddih-5000", "oddih-" + "9" * 5000):
+        with pytest.raises(UnknownFixtureError):
+            fixture(name)
