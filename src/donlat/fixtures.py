@@ -11,7 +11,8 @@ Four families used throughout the tests and the command line tool:
                  first cycle curve.
   * oddih-N:     the rank-N cycle with self-intersections
                  (N+2, 2, ..., 2), one type B curve and N-1 type A
-                 curves, for 2 <= N <= 1024.
+                 curves, for 2 <= N <= 1024 written in ASCII
+                 digits.
 
 Every fixture is returned as a full divisor configuration (cycle plus
 attached trees, possibly none) so it can be piped straight into the
@@ -93,8 +94,13 @@ def fixture(name: str) -> MaximalDivisorConfig:
     if name == "kato522332":
         return kato522332()
     if name.startswith("oddih-"):
+        digits = name[len("oddih-") :]
         try:
-            n = int(name[len("oddih-") :])
+            # int() alone would also take signs, spaces, underscores and
+            # non-ASCII digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            n = int(digits)
         except ValueError:
             raise UnknownFixtureError(f"bad rank in fixture name {name!r}") from None
         if not 2 <= n <= _ODDIH_MAX_RANK:

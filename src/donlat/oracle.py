@@ -10,6 +10,13 @@ partitions are independent and their results merge deterministically by
 sorting canonical forms, so the sweeps parallelize trivially even
 though this implementation walks them sequentially.
 
+With symmetry on, the cycle search is an orderly generation (Read
+1978, "Every one a winner"): it starts from one root per
+basis-permutation orbit and keeps basis labels that no placed curve
+tells apart in a fixed order, so it meets each class in about one
+labelling.  The canonical-key dedup after it stays as the safety net
+and picks the representative returned.
+
 Ranks are capped (default 5, override via the DONLAT_CAP environment
 variable or an explicit argument) to keep everything interactive.
 """
@@ -97,6 +104,8 @@ class _Pool(NamedTuple):
     apart: tuple[int, ...]
     type_b: int
     square_at_least: Mapping[int, int]
+    cuts: tuple[int, ...]
+    fits: tuple[int, ...]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -125,6 +134,13 @@ def _pool(n: int) -> _Pool:
     and `square_at_least[v]`, for each square v in the pool, the
     classes whose square is at least v.
 
+    Cells of basis labels are masks over the n - 1 gaps between
+    neighbouring labels, bit k - 1 standing for the gap between labels
+    k - 1 and k.  `cuts[i]` holds the gaps where class i's coefficient
+    changes.  `fits[P]`, for each such mask P, holds the classes whose
+    coefficients run lead, then -1s, then 0s inside every cell that P
+    splits the labels into (see `enumerate_cycles`).
+
     A table holds (n * 2^n)^2 small ints, 147,456 at n = 6, so only the
     two ranks used last are kept: enough for work that alternates
     between two ranks, such as sweeps at n = 5 and n = 6.
@@ -136,6 +152,21 @@ def _pool(n: int) -> _Pool:
     kinds = tuple(classify(c) for c in cand)
     adjacent = tuple(tuple(j for j, p in enumerate(row) if p == 1) for row in pairing)
     squares = [pairing[i][i] for i in range(len(cand))]
+    gaps = range(1, n)
+    cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
+    # a class fits P when every gap where its coefficients step back in
+    # the order lead, -1, 0 is in P: first file each class under the
+    # gaps it needs, then OR each mask's entry into its supersets
+    place = {-1: 1, 0: 2}
+    fits = [0] * (1 << (n - 1))
+    for i, row in enumerate(rows):
+        rank = [place.get(a, 0) for a in row]
+        fits[_mask(k - 1 for k in gaps if rank[k] < rank[k - 1])] |= 1 << i
+    for k in range(n - 1):
+        bit = 1 << k
+        for P in range(len(fits)):
+            if P & bit:
+                fits[P] |= fits[P ^ bit]
     return _Pool(
         cand,
         kinds,
@@ -147,6 +178,8 @@ def _pool(n: int) -> _Pool:
         MappingProxyType(
             {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
         ),
+        cuts,
+        tuple(fits),
     )
 
 
@@ -218,6 +251,21 @@ def enumerate_cycles(
     basis permutation, sorted; with symmetry off every ordered tuple of
     classes passing the cycle constraints is returned.
 
+    With symmetry on, the search also breaks the basis-permutation
+    symmetry as it goes.  Once some curves are placed, labels whose
+    coefficient columns agree over all of them are interchangeable.
+    Such labels form runs of consecutive labels ("cells"): the root,
+    with head 0 and tail {1, ..., t}, splits the labels into runs, and
+    each placed curve splits the runs where its coefficients change.
+    A next curve is kept only if inside every cell its coefficients run
+    lead, then -1s, then 0s.  This loses no class: permuting the labels
+    inside the cells fixes every placed curve and moves any next curve
+    into that form, and applied to the rest of the sequence too it gives
+    a sequence of the same class that keeps the rule one step further.
+    Pairings, kinds and squares do not change under it, so the root
+    orbits and the square prunes compose with the rule.  What is left
+    is a few labellings per class, which the canonical key merges.
+
     Raises:
         CapExceededError: n or s exceeds the configured cap.
         IndexRangeError: n or s below 1.
@@ -252,22 +300,33 @@ def enumerate_cycles(
     is_b = [isinstance(k, TypeB) for k in pool.kinds]
     sq = [pairing[i][i] for i in range(m)]
     everything = (1 << m) - 1
-    first_pool = _orbit_roots(pool.kinds) if symmetry else range(m)
+    if symmetry:
+        first_pool: Sequence[int] = _orbit_roots(pool.kinds)
+        cuts, fits = pool.cuts, pool.fits
+    else:
+        # every label cell then stays whole and admits every class
+        first_pool = range(m)
+        cuts, fits = (0,) * m, (everything,)
 
     def found() -> Iterable[tuple[int, ...]]:
         if s == 2:
             for f in first_pool:
+                partners = fits[cuts[f]]
                 for j in range(m):
                     if j != f and pairing[f][j] == 2 and is_b[f] + is_b[j] <= 1:
-                        yield (f, j)
+                        if partners >> j & 1:
+                            yield (f, j)
             return
 
-        def extend(seq: list[int], allowed: int, free: int) -> Iterable[tuple[int, ...]]:
+        def extend(
+            seq: list[int], allowed: int, free: int, cells: int
+        ) -> Iterable[tuple[int, ...]]:
             # allowed: the classes no placed curve rules out by type or
-            # square; free: those meeting none of the interior curves
+            # square; free: those meeting none of the interior curves;
+            # cells: the gaps between labels some placed curve tells apart
             k = len(seq)
             root, last = seq[0], seq[-1]
-            nxt = meets_once[last] & allowed & free
+            nxt = meets_once[last] & allowed & free & fits[cells]
             if k == s - 1:
                 nxt &= meets_once[root]
                 if symmetry:
@@ -282,7 +341,9 @@ def enumerate_cycles(
                 free &= apart[last]
             for j in _bits(nxt):
                 seq.append(j)
-                yield from extend(seq, allowed & ~pool.type_b if is_b[j] else allowed, free)
+                yield from extend(
+                    seq, allowed & ~pool.type_b if is_b[j] else allowed, free, cells | cuts[j]
+                )
                 seq.pop()
 
         for f in first_pool:
@@ -291,7 +352,7 @@ def enumerate_cycles(
                 # the canonical rotation starts at a minimal square, so
                 # some sibling root finds any class with a smaller one
                 allowed &= pool.square_at_least[sq[f]]
-            yield from extend([f], allowed, everything)
+            yield from extend([f], allowed, everything, cuts[f])
 
     if not symmetry:
         return tuple(CycleConfig(n, tuple(cand[i] for i in seq), None) for seq in found())

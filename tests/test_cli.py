@@ -252,6 +252,13 @@ def test_oddih_rank_is_bounded(monkeypatch, capsys):
     assert err == "error: oddih fixtures need a rank in [2, 1024], got 5000\n"
 
 
+def test_oddih_rank_takes_only_ascii_digits(monkeypatch, capsys):
+    for name in ("oddih-5_0", "oddih- 7", "oddih-+7", "oddih-\u0663"):
+        code, out, err = run(monkeypatch, capsys, ["fixture", name])
+        assert code == 2 and out == ""
+        assert err == f"error: bad rank in fixture name {name!r}\n"
+
+
 def test_unreadable_json_exits_two(tmp_path, monkeypatch, capsys):
     """Inputs that broke the JSON reader with a traceback."""
     overlong = "[1" + "0" * 1000 + "]"

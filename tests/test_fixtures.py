@@ -94,3 +94,10 @@ def test_oddih_rank_is_bounded():
     for name in ("oddih-1025", "oddih-5000", "oddih-" + "9" * 5000):
         with pytest.raises(UnknownFixtureError):
             fixture(name)
+
+
+def test_oddih_rank_takes_only_ascii_digits():
+    assert fixture("oddih-007").cycle.s == 7
+    for name in ("oddih-5_0", "oddih- 7", "oddih-7 ", "oddih-+7", "oddih--7", "oddih-\u0663"):
+        with pytest.raises(UnknownFixtureError, match="bad rank"):
+            fixture(name)

@@ -32,7 +32,8 @@ from donlat import (
     verify_internonvide,
     verify_rational_pattern,
 )
-from donlat.oracle import _canonical_key, _orbit_roots, _pool, _type_a_chains
+from donlat import oracle
+from donlat.oracle import _bits, _canonical_key, _orbit_roots, _pool, _type_a_chains
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -87,6 +88,34 @@ def test_pool_bitsets_match_the_pairing_table():
         assert set(pool.square_at_least) == set(squares)
         for v, mask in pool.square_at_least.items():
             assert mask == sum(1 << i for i, q in enumerate(squares) if q >= v)
+
+
+def _cells(gaps, n):
+    """The runs of consecutive labels that the gap mask splits 0..n-1 into."""
+    starts = [0] + [k for k in range(1, n) if gaps >> (k - 1) & 1] + [n]
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def test_pool_cells_match_a_direct_check():
+    order = {1: 0, -2: 0, -1: 1, 0: 2}
+    for n in range(1, 6):
+        pool = _pool(n)
+        rows = [c.coeffs for c in pool.classes]
+        for i, row in enumerate(rows):
+            changes = [k for k in range(1, n) if row[k] != row[k - 1]]
+            assert pool.cuts[i] == sum(1 << (k - 1) for k in changes)
+        assert len(pool.fits) == 2 ** (n - 1)
+        for gaps, fits in enumerate(pool.fits):
+            cells = _cells(gaps, n)
+            want = [
+                i
+                for i, row in enumerate(rows)
+                if all(
+                    [row[k] for k in cell] == sorted((row[k] for k in cell), key=order.get)
+                    for cell in cells
+                )
+            ]
+            assert list(_bits(fits)) == want, (n, gaps)
 
 
 def test_pool_keeps_only_the_last_two_ranks():
@@ -254,6 +283,74 @@ def test_raw_mode_covers_every_symmetry_class():
         raw = enumerate_cycles(n, s, symmetry=False)
         assert len(raw) == raw_count
         assert {canonicalize_cycle(c) for c in raw} == set(enumerate_cycles(n, s))
+    for n, s, raw_count in ((5, 4, 49200), (5, 5, 70680), (6, 3, 92160)):
+        raw = enumerate_cycles(n, s, symmetry=False, cap=6)
+        assert len(raw) == raw_count
+        assert {canonicalize_cycle(c) for c in _one_per_row_set(raw)} == set(
+            enumerate_cycles(n, s, cap=6)
+        )
+
+
+def _one_per_row_set(raw):
+    """One ordered cycle per set of classes.  The classes of a cycle
+    close up in one dihedral order only (pairing 1 with the neighbours,
+    0 with the rest), so the dropped ones are rotations or reflections
+    of the one kept."""
+    return list({frozenset(cfg.curves): cfg for cfg in raw}.values())
+
+
+def _reference_symmetric_cycles(n, s):
+    """enumerate_cycles with symmetry on but without the cell rule: the
+    orbit roots and square prunes only, so the search finds every
+    labelling of a class and the key merges them."""
+    if s == 1:
+        rows = [tuple(-1 if j < r else 0 for j in range(n)) for r in range(1, n + 1)]
+        return tuple(CycleConfig(n, (ClassVector(row),), None) for row in sorted(rows))
+    pool = _pool(n)
+    cand, pairing, meets_once, apart = pool.classes, pool.pairing, pool.meets_once, pool.apart
+    m = len(cand)
+    is_b = [isinstance(k, TypeB) for k in pool.kinds]
+    sq = [pairing[i][i] for i in range(m)]
+    everything = (1 << m) - 1
+    roots = _orbit_roots(pool.kinds)
+    found = []
+
+    def extend(seq, allowed, free):
+        k = len(seq)
+        root, last = seq[0], seq[-1]
+        nxt = meets_once[last] & allowed & free
+        if k == s - 1:
+            nxt &= meets_once[root] & pool.square_at_least[sq[seq[1]]]
+            found.extend((*seq, j) for j in _bits(nxt))
+            return
+        if k > 1:
+            nxt &= apart[root]
+            free &= apart[last]
+        for j in _bits(nxt):
+            extend([*seq, j], allowed & ~pool.type_b if is_b[j] else allowed, free)
+
+    for f in roots:
+        if s == 2:
+            found += [
+                (f, j)
+                for j in range(m)
+                if j != f and pairing[f][j] == 2 and is_b[f] + is_b[j] <= 1
+            ]
+        else:
+            allowed = everything & ~pool.type_b if is_b[f] else everything
+            extend([f], allowed & pool.square_at_least[sq[f]], everything)
+    canon = {}
+    for seq in found:
+        key = _canonical_key([cand[i].coeffs for i in seq])
+        canon.setdefault(key, CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None))
+    return tuple(canon[k] for k in sorted(canon))
+
+
+def test_orderly_search_matches_the_search_without_cells():
+    cases = [(n, s) for n in range(1, 6) for s in range(1, n + 1)]
+    cases += [(6, s) for s in range(1, 7)]
+    for n, s in cases:
+        assert enumerate_cycles(n, s, cap=6) == _reference_symmetric_cycles(n, s), (n, s)
 
 
 @given(SelfIntLists, st.integers(0, 3), st.booleans())
@@ -376,3 +473,32 @@ def test_larger_rank_regression():
 def test_rank_six_counts():
     counts = [len(enumerate_cycles(6, s, cap=6)) for s in range(1, 6)]
     assert counts == [6, 30, 63, 163, 253]
+
+
+def test_rank_seven_counts():
+    counts = [len(enumerate_cycles(7, s, cap=7)) for s in range(1, 8)]
+    assert counts == [7, 40, 102, 341, 756, 1111, 837]
+    # a second method for s = 2: every ordered pair, canonicalized
+    raw = enumerate_cycles(7, 2, symmetry=False, cap=7)
+    assert len(raw) == 20412
+    assert {canonicalize_cycle(c) for c in _one_per_row_set(raw)} == set(
+        enumerate_cycles(7, 2, cap=7)
+    )
+
+
+def test_about_one_canonical_key_per_class(monkeypatch):
+    calls = []
+    key = oracle._canonical_key
+
+    def counted(rows):
+        calls.append(len(rows))
+        return key(rows)
+
+    monkeypatch.setattr(oracle, "_canonical_key", counted)
+    kept = sum(count for _, s, _, count in census(6, cap=6) if s >= 2)
+    assert kept == 737
+    assert len(calls) <= 2 * kept
+    for s in range(2, 8):
+        calls.clear()
+        kept = len(enumerate_cycles(7, s, cap=7))
+        assert len(calls) <= 2 * kept, (s, len(calls), kept)
