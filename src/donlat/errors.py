@@ -124,4 +124,4 @@ class UnknownFixtureError(DonlatError):
 
 
 class SchemaError(DonlatError):
-    """JSON input does not match the documented shape."""
+    """Input does not match the documented shape (JSON, or a non-integer DONLAT_CAP)."""

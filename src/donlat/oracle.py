@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .curveclass import (
     CurveKind,
-    NonCurve,
     TypeA,
     TypeB,
     classify,
@@ -41,7 +40,7 @@ from .curveclass import (
     genus_defect,
 )
 from .cycle import CycleConfig, CycleVerdict, betti_check
-from .errors import CapExceededError, IndexRangeError
+from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector, zero
 
 __all__ = [
@@ -64,7 +63,8 @@ _CAP_ENV = "DONLAT_CAP"
 
 
 def effective_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: argument, then environment, then 5."""
+    """Resolve the enumeration cap: argument, then environment, then 5.
+    A non-integer environment value raises SchemaError."""
     if cap is not None:
         return cap
     raw = os.environ.get(_CAP_ENV)
@@ -73,7 +73,7 @@ def effective_cap(cap: int | None = None) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CapExceededError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise SchemaError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
@@ -98,10 +98,10 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
 class _Pool(NamedTuple):
     classes: tuple[ClassVector, ...]
     kinds: tuple[CurveKind, ...]
-    pairing: tuple[tuple[int, ...], ...]
-    adjacent: tuple[tuple[int, ...], ...]
-    meets_once: tuple[int, ...]
+    squares: tuple[int, ...]
     apart: tuple[int, ...]
+    meets_once: tuple[int, ...]
+    meets_twice: tuple[int, ...]
     type_b: int
     square_at_least: Mapping[int, int]
     cuts: tuple[int, ...]
@@ -125,14 +125,13 @@ def _bits(mask: int) -> Iterable[int]:
 def _pool(n: int) -> _Pool:
     """The candidate classes of rank n with the tables every search of
     the oracle reads instead of building its own: their `classify`
-    kinds, the table of their pairwise `intersect` values and, per
-    class, the indices meeting it once.
+    kinds and their squares.
 
-    The same relations are kept as bitsets over class indices (bit j
-    stands for class j): `meets_once[i]` and `apart[i]` hold the
-    classes pairing 1 and 0 with class i, `type_b` the type B classes
-    and `square_at_least[v]`, for each square v in the pool, the
-    classes whose square is at least v.
+    Pairwise relations are kept only as bitsets over class indices (bit
+    j stands for class j): `apart[i]`, `meets_once[i]` and
+    `meets_twice[i]` hold the classes pairing 0, 1 and 2 with class i,
+    `type_b` the type B classes and `square_at_least[v]`, for each
+    square v in the pool, the classes whose square is at least v.
 
     Cells of basis labels are masks over the n - 1 gaps between
     neighbouring labels, bit k - 1 standing for the gap between labels
@@ -141,17 +140,26 @@ def _pool(n: int) -> _Pool:
     coefficients run lead, then -1s, then 0s inside every cell that P
     splits the labels into (see `enumerate_cycles`).
 
-    A table holds (n * 2^n)^2 small ints, 147,456 at n = 6, so only the
-    two ranks used last are kept: enough for work that alternates
-    between two ranks, such as sweeps at n = 5 and n = 6.
+    Each table has one entry per class (0.3 MB in all at n = 6), but
+    the build pairs every two classes, so the two ranks used last stay
+    memoised: enough for work that alternates between two ranks, such
+    as sweeps at n = 5 and n = 6.
     """
     cand = candidate_curve_classes(n)
     rows = [c.coeffs for c in cand]
-    # the arithmetic of `intersect`, without its rank check per pair
-    pairing = tuple(tuple(-sum(map(mul, a, b)) for b in rows) for a in rows)
     kinds = tuple(classify(c) for c in cand)
-    adjacent = tuple(tuple(j for j, p in enumerate(row) if p == 1) for row in pairing)
-    squares = [pairing[i][i] for i in range(len(cand))]
+    squares = tuple(-sum(map(mul, a, a)) for a in rows)
+    # each class's row of pairings, filed by value 0, 1 or 2 (none is
+    # higher): the arithmetic of `intersect`, without its rank check
+    relations = []
+    for a in rows:
+        hits: tuple[list[int], ...] = ([], [], [])
+        for j, b in enumerate(rows):
+            p = -sum(map(mul, a, b))
+            if p >= 0:
+                hits[p].append(j)
+        relations.append(tuple(map(_mask, hits)))
+    apart, meets_once, meets_twice = zip(*relations)
     gaps = range(1, n)
     cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
     # a class fits P when every gap where its coefficients step back in
@@ -170,10 +178,10 @@ def _pool(n: int) -> _Pool:
     return _Pool(
         cand,
         kinds,
-        pairing,
-        adjacent,
-        tuple(map(_mask, adjacent)),
-        tuple(_mask(j for j, p in enumerate(row) if p == 0) for row in pairing),
+        squares,
+        apart,
+        meets_once,
+        meets_twice,
         _mask(i for i, k in enumerate(kinds) if isinstance(k, TypeB)),
         MappingProxyType(
             {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
@@ -295,10 +303,9 @@ def enumerate_cycles(
         return tuple(configs)
 
     pool = _pool(n)
-    cand, pairing, meets_once, apart = pool.classes, pool.pairing, pool.meets_once, pool.apart
+    cand, meets_once, apart, sq = pool.classes, pool.meets_once, pool.apart, pool.squares
     m = len(cand)
     is_b = [isinstance(k, TypeB) for k in pool.kinds]
-    sq = [pairing[i][i] for i in range(m)]
     everything = (1 << m) - 1
     if symmetry:
         first_pool: Sequence[int] = _orbit_roots(pool.kinds)
@@ -311,11 +318,9 @@ def enumerate_cycles(
     def found() -> Iterable[tuple[int, ...]]:
         if s == 2:
             for f in first_pool:
-                partners = fits[cuts[f]]
-                for j in range(m):
-                    if j != f and pairing[f][j] == 2 and is_b[f] + is_b[j] <= 1:
-                        if partners >> j & 1:
-                            yield (f, j)
+                partners = pool.meets_twice[f] & fits[cuts[f]]
+                for j in _bits(partners & ~pool.type_b if is_b[f] else partners):
+                    yield (f, j)
             return
 
         def extend(
@@ -447,25 +452,24 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     pairing must never be positive (which is why a cycle cannot hold
     two of them); the maximum found is reported.
     """
-    cand, kinds, pairing, *_ = _pool(n)
+    pool = _pool(n)
+    cand, kinds = pool.classes, pool.kinds
     witnesses = []
     max_bb: int | None = None
-    for i, (a, ka) in enumerate(zip(cand, kinds)):
-        for j in range(i + 1, len(cand)):
-            b, kb, got = cand[j], kinds[j], pairing[i][j]
-            if isinstance(ka, TypeB) and isinstance(kb, TypeB):
+    for i, a in enumerate(cand):
+        a_is_b = isinstance(kinds[i], TypeB)
+        # the classes j > i that meet class i once or are type B like it
+        later = (pool.meets_once[i] | (pool.type_b if a_is_b else 0)) & ~((2 << i) - 1)
+        for j in _bits(later):
+            b, b_is_b = cand[j], isinstance(kinds[j], TypeB)
+            if a_is_b and b_is_b:
+                got = -sum(map(mul, a.coeffs, b.coeffs))
                 max_bb = got if max_bb is None else max(max_bb, got)
                 if got > 0:
                     witnesses.append((a, b, got))
                 continue
-            if got != 1:
-                continue
             merged = compose_chain(a, b)
-            if isinstance(merged, NonCurve):
-                witnesses.append((a, b, merged))
-            elif (isinstance(ka, TypeB) or isinstance(kb, TypeB)) and not isinstance(
-                merged, TypeB
-            ):
+            if not isinstance(merged, TypeB if a_is_b or b_is_b else (TypeA, TypeB)):
                 witnesses.append((a, b, merged))
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
@@ -479,8 +483,8 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
     admits no such numbering and is excluded.
     """
     pool = _pool(n)
-    cand, kinds, adjacent, apart = pool.classes, pool.kinds, pool.adjacent, pool.apart
-    is_a = [isinstance(k, TypeA) for k in kinds]
+    cand, kinds, meets_once, apart = pool.classes, pool.kinds, pool.meets_once, pool.apart
+    type_a = ((1 << len(cand)) - 1) & ~pool.type_b
 
     def extend(seq: list[int], free: int):
         # free: the classes meeting none of seq[:-1]
@@ -488,18 +492,14 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
             yield tuple(cand[i] for i in seq)
             return
         last = seq[-1]
-        for j in adjacent[last]:
-            if not is_a[j] or kinds[j].head not in kinds[last].tail:
-                continue
-            if not free >> j & 1:
-                continue
-            seq.append(j)
-            yield from extend(seq, free & apart[last])
-            seq.pop()
+        for j in _bits(meets_once[last] & free & type_a):
+            if kinds[j].head in kinds[last].tail:
+                seq.append(j)
+                yield from extend(seq, free & apart[last])
+                seq.pop()
 
-    for root in range(len(cand)):
-        if is_a[root]:
-            yield from extend([root], (1 << len(cand)) - 1)
+    for root in _bits(type_a):
+        yield from extend([root], (1 << len(cand)) - 1)
 
 
 def verify_internonvide(n: int, j: int) -> OverlapReport:

@@ -158,6 +158,14 @@ def test_census_cap(monkeypatch, capsys):
     assert code == 0 and out
 
 
+def test_non_integer_cap_environment_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("DONLAT_CAP", "six")
+    code, out, err = run(monkeypatch, capsys, ["census", "--n", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "DONLAT_CAP" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -15,6 +16,7 @@ from donlat import (
     CycleVerdict,
     IndexRangeError,
     NonCurve,
+    SchemaError,
     TypeA,
     TypeB,
     betti_check,
@@ -65,29 +67,49 @@ def test_candidate_pool():
 
 
 def test_pool_tables_match_intersect_and_classify():
-    for n in range(1, 6):
-        cand, kinds, pairing, adjacent, *_ = _pool(n)
+    for n in range(1, 7):
+        pool = _pool(n)
+        cand = pool.classes
         assert cand == candidate_curve_classes(n)
         for i, a in enumerate(cand):
-            assert kinds[i] == classify(a)
-            for j, b in enumerate(cand):
-                assert pairing[i][j] == intersect(a, b), (n, a, b)
-            assert list(adjacent[i]) == [j for j, b in enumerate(cand) if intersect(a, b) == 1]
+            assert pool.kinds[i] == classify(a)
+            assert pool.squares[i] == intersect(a, a)
+        assert pool.type_b == sum(1 << i for i, k in enumerate(pool.kinds) if isinstance(k, TypeB))
+        assert set(pool.square_at_least) == set(pool.squares)
+        for v, mask in pool.square_at_least.items():
+            assert mask == sum(1 << i for i, q in enumerate(pool.squares) if q >= v)
 
 
 def test_pool_bitsets_match_the_pairing_table():
-    for n in range(1, 6):
+    for n in range(1, 7):
         pool = _pool(n)
-        m = len(pool.classes)
-        for i in range(m):
-            row = pool.pairing[i]
-            assert pool.meets_once[i] == sum(1 << j for j in range(m) if row[j] == 1)
-            assert pool.apart[i] == sum(1 << j for j in range(m) if row[j] == 0)
-        assert pool.type_b == sum(1 << i for i, k in enumerate(pool.kinds) if isinstance(k, TypeB))
-        squares = [pool.pairing[i][i] for i in range(m)]
-        assert set(pool.square_at_least) == set(squares)
+        cand = pool.classes
+        m = len(cand)
+        # the pool keeps no table; build it here from intersect
+        pairing = [[intersect(a, b) for b in cand] for a in cand]
+        by_value = {0: pool.apart, 1: pool.meets_once, 2: pool.meets_twice}
+        for i, row in enumerate(pairing):
+            # the pool keeps the nonnegative pairings only as these bitsets
+            assert max(row) <= 2, (n, cand[i])
+            for v, masks in by_value.items():
+                assert masks[i] == sum(1 << j for j in range(m) if row[j] == v), (n, cand[i], v)
+        squares = [pairing[i][i] for i in range(m)]
+        assert list(pool.squares) == squares
         for v, mask in pool.square_at_least.items():
             assert mask == sum(1 << i for i, q in enumerate(squares) if q >= v)
+
+
+def test_pool_holds_no_dense_table():
+    _pool.cache_clear()
+    tracemalloc.start()
+    try:
+        pool = _pool(6)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pool.classes) == 384
+    # a dense table of the 384^2 pairings would take 2 MB on its own
+    assert held < 1_000_000, held
 
 
 def _cells(gaps, n):
@@ -307,10 +329,10 @@ def _reference_symmetric_cycles(n, s):
         rows = [tuple(-1 if j < r else 0 for j in range(n)) for r in range(1, n + 1)]
         return tuple(CycleConfig(n, (ClassVector(row),), None) for row in sorted(rows))
     pool = _pool(n)
-    cand, pairing, meets_once, apart = pool.classes, pool.pairing, pool.meets_once, pool.apart
+    cand, meets_once, apart = pool.classes, pool.meets_once, pool.apart
     m = len(cand)
     is_b = [isinstance(k, TypeB) for k in pool.kinds]
-    sq = [pairing[i][i] for i in range(m)]
+    sq = [intersect(c, c) for c in cand]
     everything = (1 << m) - 1
     roots = _orbit_roots(pool.kinds)
     found = []
@@ -334,7 +356,7 @@ def _reference_symmetric_cycles(n, s):
             found += [
                 (f, j)
                 for j in range(m)
-                if j != f and pairing[f][j] == 2 and is_b[f] + is_b[j] <= 1
+                if j != f and intersect(cand[f], cand[j]) == 2 and is_b[f] + is_b[j] <= 1
             ]
         else:
             allowed = everything & ~pool.type_b if is_b[f] else everything
@@ -418,7 +440,7 @@ def test_cap_environment_override(monkeypatch):
     assert effective_cap() == 6
     assert effective_cap(3) == 3  # explicit argument wins
     monkeypatch.setenv("DONLAT_CAP", "six")
-    with pytest.raises(CapExceededError):
+    with pytest.raises(SchemaError):
         effective_cap()
 
 
@@ -439,6 +461,30 @@ def test_chain_dichotomy_sweep():
         report = verify_chain_dichotomy(n)
         assert report.ok and report.witnesses == ()
         assert report.max_type_b_pairing == 0
+
+
+def test_chain_dichotomy_composes_exactly_the_once_meeting_pairs(monkeypatch):
+    compose = oracle.compose_chain
+    composed = []
+
+    def recorded(a, b):
+        composed.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(oracle, "compose_chain", recorded)
+    for n in range(1, 6):
+        composed.clear()
+        cand = candidate_curve_classes(n)
+        is_b = [isinstance(classify(c), TypeB) for c in cand]
+        pairs = list(combinations(range(len(cand)), 2))
+        report = verify_chain_dichotomy(n)
+        assert composed == [
+            (cand[i], cand[j])
+            for i, j in pairs
+            if intersect(cand[i], cand[j]) == 1 and is_b[i] + is_b[j] <= 1
+        ], n
+        bb = [intersect(cand[i], cand[j]) for i, j in pairs if is_b[i] and is_b[j]]
+        assert report.max_type_b_pairing == max(bb, default=None), n
 
 
 def test_internonvide_sweep():
