@@ -19,7 +19,7 @@ Everything else is NonCurve and carries its genus defect
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import (
     NotACurveError,
@@ -79,27 +79,48 @@ class NonCurve:
 CurveKind = Union[TypeA, TypeB, NonCurve]
 
 
+def _defect(coeffs: Sequence[int]) -> int:
+    return 2 - sum(a * a + a for a in coeffs)
+
+
 def genus_defect(x: ClassVector) -> int:
     """2 - sum_k (a_k^2 + a_k); zero for every rational curve class."""
-    return 2 - sum(a * a + a for a in x.coeffs)
+    return _defect(x.coeffs)
+
+
+def _kind(coeffs: Sequence[int]) -> CurveKind:
+    """The curve shape of a coefficient sequence, read in one pass: the
+    -1 positions are collected as the tail and the pass stops at a
+    second coefficient outside {0, -1}.  Only a non-curve is scanned
+    again, for its genus defect."""
+    head = -1
+    tail: list[int] = []
+    for k, a in enumerate(coeffs):
+        if a == -1:
+            tail.append(k)
+        elif a:
+            if head >= 0:
+                return NonCurve(_defect(coeffs))
+            head = k
+    if head >= 0:
+        lead = coeffs[head]
+        if lead == 1:
+            return TypeA(head, frozenset(tail))
+        if lead == -2:
+            return TypeB(head, frozenset(tail))
+    return NonCurve(_defect(coeffs))
 
 
 def classify(x: ClassVector) -> CurveKind:
-    """Decide the curve shape of a class.
+    """Decide the curve shape of a class in one pass over its coefficients.
 
     Returns TypeA(i, I) when exactly one coefficient is +1 and the rest
     lie in {0, -1}; TypeB(i, I) when exactly one coefficient is -2 and
     the rest lie in {0, -1}; otherwise NonCurve with the genus defect.
+    The pass collects the -1 positions I and stops at the second
+    coefficient outside {0, -1}.
     """
-    special = [(k, a) for k, a in enumerate(x.coeffs) if a not in (0, -1)]
-    if len(special) == 1:
-        k, a = special[0]
-        tail = frozenset(j for j, c in enumerate(x.coeffs) if c == -1)
-        if a == 1:
-            return TypeA(k, tail)
-        if a == -2:
-            return TypeB(k, tail)
-    return NonCurve(genus_defect(x))
+    return _kind(x.coeffs)
 
 
 def reconstruct(kind: CurveKind, n: int) -> ClassVector:

@@ -315,14 +315,10 @@ def odd_ih_cycle(n: int) -> CycleConfig:
     """
     if n < 2:
         raise RankTooSmallError(f"need rank >= 2, got {n}")
-    head = [0] * n
-    head[1] = -2
-    for j in range(2, n):
-        head[j] = -1
-    curves = [ClassVector(tuple(head))]
+    curves = [ClassVector((0, -2) + (-1,) * (n - 2))]
     for j in range(1, n - 1):
-        curves.append(basis(j, n) - basis(j + 1, n))
-    curves.append(basis(n - 1, n) - basis(0, n))
+        curves.append(ClassVector((0,) * j + (1, -1) + (0,) * (n - j - 2)))
+    curves.append(ClassVector((-1,) + (0,) * (n - 2) + (1,)))
     return CycleConfig(n, tuple(curves), None)
 
 

@@ -17,6 +17,7 @@ coefficient -1 exactly on I.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -132,7 +133,7 @@ def e_sum(indices: Iterable[int], n: int) -> ClassVector:
 def add(x: ClassVector, y: ClassVector) -> ClassVector:
     """Componentwise sum; both operands must share a rank."""
     _check_same_rank(x, y)
-    return ClassVector(tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    return ClassVector(tuple(map(operator.add, x.coeffs, y.coeffs)))
 
 
 def negate(x: ClassVector) -> ClassVector:

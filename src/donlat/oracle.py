@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,13 +35,14 @@ from .curveclass import (
     CurveKind,
     TypeA,
     TypeB,
+    _kind,
     classify,
     compose_chain,
     genus_defect,
 )
 from .cycle import CycleConfig, CycleVerdict, betti_check
 from .errors import CapExceededError, IndexRangeError, SchemaError
-from .lattice import ClassVector, zero
+from .lattice import ClassVector
 
 __all__ = [
     "DEFAULT_CAP",
@@ -436,7 +437,7 @@ def verify_rational_pattern(
         v = ClassVector(coeffs)
         structural = isinstance(classifier(v), (TypeA, TypeB))
         outside = sum(1 for a in coeffs if a not in (0, -1))
-        arithmetic = genus_defect(v) == 0 and outside == 1
+        arithmetic = outside == 1 and genus_defect(v) == 0
         if structural != arithmetic:
             witnesses.append(v)
     return SweepReport(not witnesses, tuple(witnesses))
@@ -450,7 +451,9 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     classes may also fuse to type B; that is how the -2-head of a
     triangle of -3 curves arises.)  For pairs of two type B classes the
     pairing must never be positive (which is why a cycle cannot hold
-    two of them); the maximum found is reported.
+    two of them); the maximum found is reported.  It is read from the
+    pool's bitsets of pairings 0, 1 and 2, so only the type B pairs
+    meeting once or twice are visited one by one.
     """
     pool = _pool(n)
     cand, kinds = pool.classes, pool.kinds
@@ -458,19 +461,31 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     max_bb: int | None = None
     for i, a in enumerate(cand):
         a_is_b = isinstance(kinds[i], TypeB)
-        # the classes j > i that meet class i once or are type B like it
-        later = (pool.meets_once[i] | (pool.type_b if a_is_b else 0)) & ~((2 << i) - 1)
-        for j in _bits(later):
+        later = ~((2 << i) - 1)
+        # the classes j > i meeting class i once, and the type B ones
+        # meeting it twice when it is type B too
+        pairs = pool.meets_once[i] & later
+        if a_is_b:
+            bb = pool.type_b & later
+            # the pool files pairings of 2, 1 and 0; lower ones are left out
+            for got, hits in ((2, pool.meets_twice), (1, pool.meets_once), (0, pool.apart)):
+                if bb & hits[i]:
+                    max_bb = got if max_bb is None else max(max_bb, got)
+                    break
+            pairs |= bb & pool.meets_twice[i]
+        for j in _bits(pairs):
             b, b_is_b = cand[j], isinstance(kinds[j], TypeB)
             if a_is_b and b_is_b:
-                got = -sum(map(mul, a.coeffs, b.coeffs))
-                max_bb = got if max_bb is None else max(max_bb, got)
-                if got > 0:
-                    witnesses.append((a, b, got))
+                witnesses.append((a, b, 2 if pool.meets_twice[i] >> j & 1 else 1))
                 continue
             merged = compose_chain(a, b)
             if not isinstance(merged, TypeB if a_is_b or b_is_b else (TypeA, TypeB)):
                 witnesses.append((a, b, merged))
+    if max_bb is None:
+        # no type B pair pairs 0, 1 or 2, so the maximum (if any pair
+        # exists) is negative and needs the raw pairings
+        rows = [cand[i].coeffs for i in _bits(pool.type_b)]
+        max_bb = max((-sum(map(mul, a, b)) for a, b in combinations(rows, 2)), default=None)
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
@@ -502,6 +517,18 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
         yield from extend([root], (1 << len(cand)) - 1)
 
 
+def _strict_sub_sums(rows: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+    """The coefficient sums of rows p..q over every contiguous run but
+    the whole, as running sums from each start p."""
+    j = len(rows)
+    for p in range(j):
+        total = rows[p]
+        yield total
+        for q in range(p + 1, j if p else j - 1):
+            total = tuple(map(add, total, rows[q]))
+            yield total
+
+
 def verify_internonvide(n: int, j: int) -> OverlapReport:
     """Sweep all oriented chains of j type A curves and compare two
     conditions:
@@ -527,20 +554,11 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
         heads = {k.head for k in kinds}
         tails = [k.tail for k in kinds]
 
-        prefix = [zero(n)]
-        for c in chain:
-            prefix.append(prefix[-1] + c)
-        cond_i = isinstance(classify(prefix[j] - prefix[0]), TypeB)
-        if cond_i:
-            for p in range(j):
-                for q in range(p, j):
-                    if q - p + 1 == j:
-                        continue
-                    if not isinstance(classify(prefix[q + 1] - prefix[p]), TypeA):
-                        cond_i = False
-                        break
-                if not cond_i:
-                    break
+        # (i) by plain coefficient arithmetic on the rows
+        rows = [c.coeffs for c in chain]
+        cond_i = isinstance(_kind(tuple(map(sum, zip(*rows)))), TypeB) and all(
+            isinstance(_kind(total), TypeA) for total in _strict_sub_sums(rows)
+        )
 
         overlap = tails[0] & tails[j - 1]
         cond_ii = len(overlap) == 1 and not (overlap & heads)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,43 @@ def test_classify_basic_shapes():
     assert classify(ClassVector((0, 0, 0))) == NonCurve(2)
     assert classify(ClassVector((1, 1, 0))) == NonCurve(-2)
     assert classify(ClassVector((-1, -1, -1))) == NonCurve(2)
+
+
+def _reference_classify(x):
+    """The two-pass classify: collect the coefficients outside {0, -1},
+    then read the tail in a second scan."""
+    special = [(k, a) for k, a in enumerate(x.coeffs) if a not in (0, -1)]
+    if len(special) == 1:
+        k, a = special[0]
+        tail = frozenset(j for j, c in enumerate(x.coeffs) if c == -1)
+        if a == 1:
+            return TypeA(k, tail)
+        if a == -2:
+            return TypeB(k, tail)
+    return NonCurve(genus_defect(x))
+
+
+def test_classify_matches_the_two_pass_reference_on_the_box():
+    for n in range(1, 5):
+        for coeffs in product(range(-3, 4), repeat=n):
+            x = ClassVector(coeffs)
+            assert classify(x) == _reference_classify(x), coeffs
+
+
+# mostly zeros and curve coefficients, with some far outside the box
+SparseVectors = st.lists(
+    st.one_of(
+        st.sampled_from([0, 0, 0, -1, 1, -2]),
+        st.integers(-(10**30), 10**30),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda c: ClassVector(tuple(c)))
+
+
+@given(SparseVectors)
+def test_classify_matches_the_two_pass_reference_on_sparse_vectors(x):
+    assert classify(x) == _reference_classify(x)
 
 
 def test_head_never_sits_in_the_tail():

@@ -139,6 +139,24 @@ def test_odd_ih_cycle_shape():
         odd_ih_cycle(1)
 
 
+def _reference_odd_ih_cycle(n):
+    """odd_ih_cycle built from differences of dense basis classes."""
+    head = [0] * n
+    head[1] = -2
+    for j in range(2, n):
+        head[j] = -1
+    curves = [ClassVector(tuple(head))]
+    for j in range(1, n - 1):
+        curves.append(basis(j, n) - basis(j + 1, n))
+    curves.append(basis(n - 1, n) - basis(0, n))
+    return CycleConfig(n, tuple(curves), None)
+
+
+def test_odd_ih_cycle_matches_the_basis_differences():
+    for n in [*range(2, 65), 1024]:
+        assert odd_ih_cycle(n) == _reference_odd_ih_cycle(n), n
+
+
 def test_cycle_notation():
     assert cycle_notation(from_selfintersections((5, 2, 2, 3, 3, 2))) == "(522332)"
     assert cycle_notation(from_selfintersections((12, 2))) == "(12,2)"

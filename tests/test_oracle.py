@@ -33,6 +33,7 @@ from donlat import (
     verify_chain_dichotomy,
     verify_internonvide,
     verify_rational_pattern,
+    zero,
 )
 from donlat import oracle
 from donlat.oracle import _bits, _canonical_key, _orbit_roots, _pool, _type_a_chains
@@ -472,7 +473,7 @@ def test_chain_dichotomy_composes_exactly_the_once_meeting_pairs(monkeypatch):
         return compose(a, b)
 
     monkeypatch.setattr(oracle, "compose_chain", recorded)
-    for n in range(1, 6):
+    for n in range(1, 7):
         composed.clear()
         cand = candidate_curve_classes(n)
         is_b = [isinstance(classify(c), TypeB) for c in cand]
@@ -509,6 +510,49 @@ def test_internonvide_sweep():
     }
     with pytest.raises(IndexRangeError):
         verify_internonvide(3, 1)
+
+
+def _reference_internonvide(n, j):
+    """The sweep with condition (i) read from ClassVector prefix sums:
+    every contiguous sub-chain sum is a difference of two prefixes."""
+    witnesses = []
+    positives = []
+    for chain in _type_a_chains(n, j):
+        kinds = [classify(c) for c in chain]
+        heads = {k.head for k in kinds}
+        tails = [k.tail for k in kinds]
+        prefix = [zero(n)]
+        for c in chain:
+            prefix.append(prefix[-1] + c)
+        cond_i = isinstance(classify(prefix[j] - prefix[0]), TypeB) and all(
+            isinstance(classify(prefix[q + 1] - prefix[p]), TypeA)
+            for p in range(j)
+            for q in range(p, j)
+            if q - p + 1 != j
+        )
+        overlap = tails[0] & tails[j - 1]
+        cond_ii = (
+            len(overlap) == 1
+            and not (overlap & heads)
+            and not any(
+                tails[p] & tails[q]
+                for p, q in combinations(range(j), 2)
+                if (p, q) != (0, j - 1)
+            )
+        )
+        if cond_i != cond_ii:
+            witnesses.append(chain)
+        elif cond_i:
+            positives.append(chain)
+    return not witnesses, tuple(witnesses), tuple(positives)
+
+
+def test_internonvide_matches_the_prefix_sum_reference():
+    for n in range(2, 6):
+        for j in range(2, n + 1):
+            report = verify_internonvide(n, j)
+            got = (report.ok, report.witnesses, report.positives)
+            assert got == _reference_internonvide(n, j), (n, j)
 
 
 def test_larger_rank_regression():
