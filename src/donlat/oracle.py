@@ -453,7 +453,10 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     pairing must never be positive (which is why a cycle cannot hold
     two of them); the maximum found is reported.  It is read from the
     pool's bitsets of pairings 0, 1 and 2, so only the type B pairs
-    meeting once or twice are visited one by one.
+    meeting once or twice are visited one by one.  From n = 2 on the
+    type B classes -2 e_0 and -2 e_1 pair to 0, so some type B pair
+    always lands in a bitset; the maximum stays None only at n = 1,
+    which has no type B pair.
     """
     pool = _pool(n)
     cand, kinds = pool.classes, pool.kinds
@@ -481,11 +484,6 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
             merged = compose_chain(a, b)
             if not isinstance(merged, TypeB if a_is_b or b_is_b else (TypeA, TypeB)):
                 witnesses.append((a, b, merged))
-    if max_bb is None:
-        # no type B pair pairs 0, 1 or 2, so the maximum (if any pair
-        # exists) is negative and needs the raw pairings
-        rows = [cand[i].coeffs for i in _bits(pool.type_b)]
-        max_bb = max((-sum(map(mul, a, b)) for a, b in combinations(rows, 2)), default=None)
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
