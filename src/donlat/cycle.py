@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _pairings, basis, e_sum, intersect, square, zero
+from .lattice import ClassVector, _class_sum, _pairings, basis, e_sum, intersect, square, zero
 
 __all__ = [
     "BettiResult",
@@ -216,7 +216,7 @@ def cycle_class(cfg: CycleConfig) -> CycleClass:
     Raises:
         NotNodalFormError: some coefficient of the sum is outside {0, -1}.
     """
-    total = sum(cfg.curves, zero(cfg.n))
+    total = _class_sum(cfg.curves, cfg.n)
     if any(a not in (0, -1) for a in total.coeffs):
         raise NotNodalFormError(f"cycle class {list(total.coeffs)} has a coefficient outside {{0,-1}}")
     return CycleClass(total, frozenset(k for k, a in enumerate(total.coeffs) if a == -1))
@@ -246,7 +246,7 @@ def betti_check(cfg: CycleConfig) -> BettiResult:
         cycle homology sits with index 2).
       * Inadmissible: anything else.
     """
-    total = sum(cfg.curves, zero(cfg.n))
+    total = _class_sum(cfg.curves, cfg.n)
     value = cfg.s - intersect(total, total)
     # value == n and value == 2n cannot both hold (n >= 1), so order is free
     if value == cfg.n and (cfg.s == 1 or _is_partition(cfg)):

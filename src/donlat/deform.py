@@ -41,6 +41,13 @@ def smooth_node(
     For s == 1 the single node is the curve's own double point and the
     outcome is elliptic with no ejected class.
 
+    A cycle whose class is zero (its curves' coefficients cancel, as for
+    a cycle of (-2)-curves covering every index) smooths at s == 2 to
+    the one-curve cycle (0, ..., 0).  That is the documented end state
+    of such a ladder: the zero class is no nodal curve, so
+    `validate_cycle` rejects the result with `single-not-nodal` and it
+    cannot be smoothed further.
+
     Args:
         cfg: a configuration accepted by validate_cycle.
         position: node index, 0 <= position < s.

@@ -56,7 +56,7 @@ from .errors import (
     NotTreeShapedError,
     SchemaError,
 )
-from .lattice import ClassVector, _pairings, e_sum, intersect, square, zero
+from .lattice import ClassVector, _class_sum, _pairings, e_sum, intersect, square, zero
 
 __all__ = [
     "DivisorReport",
@@ -390,7 +390,7 @@ def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozense
             f"dual graph carries {edge_load} meeting points over {m} curves; "
             "a tree needs exactly one fewer"
         )
-    total = sum(curves, zero(curves[0].n))
+    total = _class_sum(curves, curves[0].n)
     ones = [k for k, a in enumerate(total.coeffs) if a == 1]
     if len(ones) != 1 or any(a not in (-1, 0, 1) for a in total.coeffs):
         raise NotLemmaFormError(

@@ -136,6 +136,23 @@ def add(x: ClassVector, y: ClassVector) -> ClassVector:
     return ClassVector(tuple(map(operator.add, x.coeffs, y.coeffs)))
 
 
+def _class_sum(classes: Sequence[ClassVector], n: int) -> ClassVector:
+    """The sum of classes of rank n, built as one ClassVector from the
+    column sums of their coefficients; the zero class when there are none.
+
+    Raises:
+        IndexRangeError: n is below 1.
+        RankMismatchError: some class's rank is not n.
+    """
+    if n < 1:
+        raise IndexRangeError(f"rank must be positive, got {n}")
+    rows = [x.coeffs for x in classes]
+    for row in rows:
+        if len(row) != n:
+            raise RankMismatchError(f"rank mismatch: {n} vs {len(row)}")
+    return ClassVector(tuple(map(sum, zip(*rows))) if rows else (0,) * n)
+
+
 def negate(x: ClassVector) -> ClassVector:
     return ClassVector(tuple(-a for a in x.coeffs))
 

@@ -37,7 +37,6 @@ from .curveclass import (
     TypeB,
     _kind,
     classify,
-    compose_chain,
     genus_defect,
 )
 from .cycle import CycleConfig, CycleVerdict, betti_check
@@ -275,6 +274,12 @@ def enumerate_cycles(
     orbits and the square prunes compose with the rule.  What is left
     is a few labellings per class, which the canonical key merges.
 
+    Both modes run one search.  It yields each prefix of s - 1 pool
+    indices once, with the bitset of the classes that close it into a
+    cycle; the raw result lists the closing classes of each prefix from
+    the lowest index up, and the symmetric dedup visits them in the
+    same order.
+
     Raises:
         CapExceededError: n or s exceeds the configured cap.
         IndexRangeError: n or s below 1.
@@ -316,41 +321,50 @@ def enumerate_cycles(
         first_pool = range(m)
         cuts, fits = (0,) * m, (everything,)
 
-    def found() -> Iterable[tuple[int, ...]]:
+    def found() -> Iterable[tuple[tuple[int, ...], int]]:
+        # each prefix of s - 1 classes once, with the bitset of the
+        # classes that close it into a cycle
         if s == 2:
             for f in first_pool:
                 partners = pool.meets_twice[f] & fits[cuts[f]]
-                for j in _bits(partners & ~pool.type_b if is_b[f] else partners):
-                    yield (f, j)
+                yield (f,), partners & ~pool.type_b if is_b[f] else partners
             return
 
         def extend(
             seq: list[int], allowed: int, free: int, cells: int
-        ) -> Iterable[tuple[int, ...]]:
+        ) -> Iterable[tuple[tuple[int, ...], int]]:
             # allowed: the classes no placed curve rules out by type or
             # square; free: those meeting none of the interior curves;
             # cells: the gaps between labels some placed curve tells apart
-            k = len(seq)
             root, last = seq[0], seq[-1]
             nxt = meets_once[last] & allowed & free & fits[cells]
-            if k == s - 1:
-                nxt &= meets_once[root]
+            if len(seq) > 1:
+                nxt &= apart[root]
+                free &= apart[last]
+            if len(seq) < s - 2:
+                for j in _bits(nxt):
+                    seq.append(j)
+                    yield from extend(
+                        seq, allowed & ~pool.type_b if is_b[j] else allowed, free, cells | cuts[j]
+                    )
+                    seq.pop()
+                return
+            # each seq + [j] is a prefix of s - 1 classes, closed by the
+            # classes meeting both j and the root
+            close = meets_once[root] & free
+            for j in _bits(nxt):
+                closing = (
+                    meets_once[j]
+                    & close
+                    & (allowed & ~pool.type_b if is_b[j] else allowed)
+                    & fits[cells | cuts[j]]
+                )
                 if symmetry:
                     # the reflected path closes with the larger of the
                     # two squares next to the root and finds it anyway
-                    nxt &= pool.square_at_least[sq[seq[1]]]
-                for j in _bits(nxt):
-                    yield (*seq, j)
-                return
-            if k > 1:
-                nxt &= apart[root]
-                free &= apart[last]
-            for j in _bits(nxt):
-                seq.append(j)
-                yield from extend(
-                    seq, allowed & ~pool.type_b if is_b[j] else allowed, free, cells | cuts[j]
-                )
-                seq.pop()
+                    closing &= pool.square_at_least[sq[seq[1] if len(seq) > 1 else j]]
+                if closing:
+                    yield (*seq, j), closing
 
         for f in first_pool:
             allowed = everything & ~pool.type_b if is_b[f] else everything
@@ -361,21 +375,30 @@ def enumerate_cycles(
             yield from extend([f], allowed, everything, cuts[f])
 
     if not symmetry:
-        return tuple(CycleConfig(n, tuple(cand[i] for i in seq), None) for seq in found())
+        def ordered() -> Iterable[CycleConfig]:
+            for prefix, closing in found():
+                head = tuple(cand[i] for i in prefix)
+                for j in _bits(closing):
+                    yield CycleConfig(n, (*head, cand[j]), None)
+
+        return tuple(ordered())
 
     # a set of classes closes into a cycle in only one dihedral order,
     # so the row set alone already identifies the rotation/reflection
     # class and the expensive key runs once per candidate class set
     canon: dict[tuple, CycleConfig] = {}
     seen_rows: set[frozenset] = set()
-    for seq in found():
-        rows = frozenset(cand[i].coeffs for i in seq)
-        if rows in seen_rows:
-            continue
-        seen_rows.add(rows)
-        key = _canonical_key([cand[i].coeffs for i in seq])
-        if key not in canon:
-            canon[key] = CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None)
+    for prefix, closing in found():
+        head = [cand[i].coeffs for i in prefix]
+        for j in _bits(closing):
+            seq_rows = [*head, cand[j].coeffs]
+            rows = frozenset(seq_rows)
+            if rows in seen_rows:
+                continue
+            seen_rows.add(rows)
+            key = _canonical_key(seq_rows)
+            if key not in canon:
+                canon[key] = CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None)
     return tuple(canon[k] for k in sorted(canon))
 
 
@@ -436,7 +459,7 @@ def verify_rational_pattern(
     for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
         v = ClassVector(coeffs)
         structural = isinstance(classifier(v), (TypeA, TypeB))
-        outside = sum(1 for a in coeffs if a not in (0, -1))
+        outside = n - coeffs.count(0) - coeffs.count(-1)
         arithmetic = outside == 1 and genus_defect(v) == 0
         if structural != arithmetic:
             witnesses.append(v)
@@ -449,27 +472,30 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     For pairs meeting exactly once the sum must classify as a curve
     again, and a type B operand must force a type B sum.  (Two type A
     classes may also fuse to type B; that is how the -2-head of a
-    triangle of -3 curves arises.)  For pairs of two type B classes the
-    pairing must never be positive (which is why a cycle cannot hold
-    two of them); the maximum found is reported.  It is read from the
-    pool's bitsets of pairings 0, 1 and 2, so only the type B pairs
-    meeting once or twice are visited one by one.  From n = 2 on the
-    type B classes -2 e_0 and -2 e_1 pair to 0, so some type B pair
-    always lands in a bitset; the maximum stays None only at n = 1,
-    which has no type B pair.
+    triangle of -3 curves arises.)  This is what `compose_chain` returns
+    on such a pair; the sweep reads the pairing and the operand kinds
+    from the pool and classifies the coefficient sum itself.  For pairs
+    of two type B classes the pairing must never be positive (which is
+    why a cycle cannot hold two of them); the maximum found is
+    reported.  It is read from the pool's bitsets of pairings 0, 1 and
+    2, so only the type B pairs meeting once or twice are visited one by
+    one.  From n = 2 on the type B classes -2 e_0 and -2 e_1 pair to 0,
+    so some type B pair always lands in a bitset; the maximum stays None
+    only at n = 1, which has no type B pair.
     """
     pool = _pool(n)
-    cand, kinds = pool.classes, pool.kinds
+    cand, type_b = pool.classes, pool.type_b
+    rows = [c.coeffs for c in cand]
     witnesses = []
     max_bb: int | None = None
-    for i, a in enumerate(cand):
-        a_is_b = isinstance(kinds[i], TypeB)
+    for i, a in enumerate(rows):
+        a_is_b = type_b >> i & 1
         later = ~((2 << i) - 1)
         # the classes j > i meeting class i once, and the type B ones
         # meeting it twice when it is type B too
         pairs = pool.meets_once[i] & later
         if a_is_b:
-            bb = pool.type_b & later
+            bb = type_b & later
             # the pool files pairings of 2, 1 and 0; lower ones are left out
             for got, hits in ((2, pool.meets_twice), (1, pool.meets_once), (0, pool.apart)):
                 if bb & hits[i]:
@@ -477,18 +503,19 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
                     break
             pairs |= bb & pool.meets_twice[i]
         for j in _bits(pairs):
-            b, b_is_b = cand[j], isinstance(kinds[j], TypeB)
+            b_is_b = type_b >> j & 1
             if a_is_b and b_is_b:
-                witnesses.append((a, b, 2 if pool.meets_twice[i] >> j & 1 else 1))
+                witnesses.append((cand[i], cand[j], 2 if pool.meets_twice[i] >> j & 1 else 1))
                 continue
-            merged = compose_chain(a, b)
+            merged = _kind(tuple(map(add, a, rows[j])))
             if not isinstance(merged, TypeB if a_is_b or b_is_b else (TypeA, TypeB)):
-                witnesses.append((a, b, merged))
+                witnesses.append((cand[i], cand[j], merged))
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
-def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
-    """All oriented chains of `length` type A classes.
+def _type_a_chains(n: int, length: int) -> Iterable[tuple[int, ...]]:
+    """All oriented chains of `length` type A classes, as tuples of
+    indices into `_pool(n).classes`.
 
     Oriented means numbered the way chains inside cycles always are:
     each class carries the next curve's head in its tail.  A chain
@@ -496,13 +523,14 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
     admits no such numbering and is excluded.
     """
     pool = _pool(n)
-    cand, kinds, meets_once, apart = pool.classes, pool.kinds, pool.meets_once, pool.apart
-    type_a = ((1 << len(cand)) - 1) & ~pool.type_b
+    kinds, meets_once, apart = pool.kinds, pool.meets_once, pool.apart
+    everything = (1 << len(kinds)) - 1
+    type_a = everything & ~pool.type_b
 
-    def extend(seq: list[int], free: int):
+    def extend(seq: list[int], free: int) -> Iterable[tuple[int, ...]]:
         # free: the classes meeting none of seq[:-1]
         if len(seq) == length:
-            yield tuple(cand[i] for i in seq)
+            yield tuple(seq)
             return
         last = seq[-1]
         for j in _bits(meets_once[last] & free & type_a):
@@ -512,7 +540,7 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[ClassVector, ...]]:
                 seq.pop()
 
     for root in _bits(type_a):
-        yield from extend([root], (1 << len(cand)) - 1)
+        yield from extend([root], everything)
 
 
 def _strict_sub_sums(rows: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
@@ -545,15 +573,18 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
+    pool = _pool(n)
+    cand, pool_kinds = pool.classes, pool.kinds
+    pool_rows = [c.coeffs for c in cand]
     witnesses = []
     positives = []
     for chain in _type_a_chains(n, j):
-        kinds = [classify(c) for c in chain]
+        kinds = [pool_kinds[i] for i in chain]
         heads = {k.head for k in kinds}
         tails = [k.tail for k in kinds]
 
         # (i) by plain coefficient arithmetic on the rows
-        rows = [c.coeffs for c in chain]
+        rows = [pool_rows[i] for i in chain]
         cond_i = isinstance(_kind(tuple(map(sum, zip(*rows)))), TypeB) and all(
             isinstance(_kind(total), TypeA) for total in _strict_sub_sums(rows)
         )
@@ -572,7 +603,7 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
                     break
 
         if cond_i != cond_ii:
-            witnesses.append(chain)
+            witnesses.append(tuple(cand[i] for i in chain))
         elif cond_i:
-            positives.append(chain)
+            positives.append(tuple(cand[i] for i in chain))
     return OverlapReport(not witnesses, tuple(witnesses), tuple(positives))

@@ -53,6 +53,20 @@ def test_nodal_curve_smooths_to_elliptic():
     assert ejected is None
 
 
+def test_zero_class_pair_smooths_to_the_rejected_zero_curve():
+    # the class of this pair is zero, so the ladder ends at the zero
+    # class, which is no nodal curve (documented in smooth_node)
+    cfg = CycleConfig(2, (ClassVector((1, -1)), ClassVector((-1, 1))))
+    assert validate_cycle(cfg).ok
+    for position, head in ((0, 1), (1, 0)):
+        out, ejected = smooth_node(cfg, position)
+        assert out == CycleConfig(2, (ClassVector((0, 0)),))
+        assert ejected == basis(head, 2)
+        assert [v.code for v in validate_cycle(out).violations] == ["single-not-nodal"]
+        with pytest.raises(InvalidCycleError):
+            smooth_node(out, 0)
+
+
 def test_wraparound_node():
     cfg = from_selfintersections((5, 3))
     out, ejected = smooth_node(cfg, 1)

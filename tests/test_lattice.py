@@ -20,6 +20,7 @@ from donlat import (
     square,
     zero,
 )
+from donlat.lattice import _class_sum
 
 Ranks = st.integers(min_value=1, max_value=6)
 
@@ -62,6 +63,21 @@ def test_rank_mismatch():
         intersect(zero(2), zero(3))
     with pytest.raises(RankMismatchError):
         add(basis(0, 2), basis(0, 4))
+
+
+def test_class_sum_refuses_mixed_ranks():
+    with pytest.raises(RankMismatchError):
+        _class_sum([basis(0, 3), basis(1, 3), basis(0, 4)], 3)
+    with pytest.raises(RankMismatchError):
+        _class_sum([basis(0, 2)], 3)
+    with pytest.raises(IndexRangeError):
+        _class_sum([], 0)
+
+
+@given(Ranks.flatmap(lambda n: st.tuples(st.just(n), st.lists(vectors(n), max_size=5))))
+def test_class_sum_matches_repeated_addition(case):
+    n, classes = case
+    assert _class_sum(classes, n) == sum(classes, zero(n))
 
 
 def test_coefficients_must_be_plain_ints():

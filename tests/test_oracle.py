@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from itertools import combinations, permutations, product
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from donlat import (
     canonicalize_cycle,
     census,
     classify,
+    compose_chain,
     cycle_notation,
     effective_cap,
     enumerate_cycles,
@@ -178,10 +180,12 @@ def _is_oriented_chain(chain):
 
 def test_type_a_chains_match_a_naive_filter():
     for n in range(1, 5):
-        type_a = [c for c in candidate_curve_classes(n) if isinstance(classify(c), TypeA)]
+        cand = candidate_curve_classes(n)
+        type_a = [c for c in cand if isinstance(classify(c), TypeA)]
         for length in range(1, 4):
             naive = [c for c in product(type_a, repeat=length) if _is_oriented_chain(c)]
-            assert list(_type_a_chains(n, length)) == naive, (n, length)
+            got = [tuple(cand[i] for i in chain) for chain in _type_a_chains(n, length)]
+            assert got == naive, (n, length)
 
 
 def test_enumeration_counts():
@@ -464,28 +468,49 @@ def test_chain_dichotomy_sweep():
         assert report.max_type_b_pairing == 0
 
 
+def test_chain_dichotomy_at_rank_seven():
+    report = verify_chain_dichotomy(7)
+    assert report.ok and report.witnesses == ()
+    assert report.max_type_b_pairing == 0
+
+
 def test_chain_dichotomy_composes_exactly_the_once_meeting_pairs(monkeypatch):
-    compose = oracle.compose_chain
-    composed = []
+    operands = []
 
-    def recorded(a, b):
-        composed.append((a, b))
-        return compose(a, b)
+    def recorded(x, y):
+        operands.append((x, y))
+        return x + y
 
-    monkeypatch.setattr(oracle, "compose_chain", recorded)
+    monkeypatch.setattr(oracle, "add", recorded)
     for n in range(1, 7):
-        composed.clear()
+        operands.clear()
         cand = candidate_curve_classes(n)
         is_b = [isinstance(classify(c), TypeB) for c in cand]
         pairs = list(combinations(range(len(cand)), 2))
         report = verify_chain_dichotomy(n)
-        assert composed == [
-            (cand[i], cand[j])
+        # the sweep adds each pair's rows coefficient by coefficient, so
+        # every n recorded additions spell out the two rows of one pair
+        summed = [tuple(zip(*operands[k : k + n])) for k in range(0, len(operands), n)]
+        assert summed == [
+            (cand[i].coeffs, cand[j].coeffs)
             for i, j in pairs
             if intersect(cand[i], cand[j]) == 1 and is_b[i] + is_b[j] <= 1
         ], n
         bb = [intersect(cand[i], cand[j]) for i, j in pairs if is_b[i] and is_b[j]]
         assert report.max_type_b_pairing == max(bb, default=None), n
+
+
+def test_compose_chain_matches_the_sweeps_row_sum_kind():
+    for n in range(1, 6):
+        pool = _pool(n)
+        cand = pool.classes
+        for i, j in combinations(range(len(cand)), 2):
+            if intersect(cand[i], cand[j]) != 1:
+                continue
+            if isinstance(pool.kinds[i], TypeB) and isinstance(pool.kinds[j], TypeB):
+                continue
+            row_sum = tuple(map(add, cand[i].coeffs, cand[j].coeffs))
+            assert compose_chain(cand[i], cand[j]) == oracle._kind(row_sum), (n, i, j)
 
 
 def test_internonvide_sweep():
@@ -515,9 +540,11 @@ def test_internonvide_sweep():
 def _reference_internonvide(n, j):
     """The sweep with condition (i) read from ClassVector prefix sums:
     every contiguous sub-chain sum is a difference of two prefixes."""
+    cand = candidate_curve_classes(n)
     witnesses = []
     positives = []
-    for chain in _type_a_chains(n, j):
+    for indices in _type_a_chains(n, j):
+        chain = tuple(cand[i] for i in indices)
         kinds = [classify(c) for c in chain]
         heads = {k.head for k in kinds}
         tails = [k.tail for k in kinds]
