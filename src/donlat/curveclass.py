@@ -208,12 +208,14 @@ def kind_from_json(data: object) -> CurveKind:
         return NonCurve(defect)
     if tag in ("A", "B"):
         head, tail = data.get("i"), data.get("I")
-        if not isinstance(head, int) or isinstance(head, bool):
-            raise SchemaError("curve kind needs an integer head 'i'")
+        if not isinstance(head, int) or isinstance(head, bool) or head < 0:
+            raise SchemaError("curve kind needs a nonnegative integer head 'i'")
         if not isinstance(tail, list) or any(
-            not isinstance(j, int) or isinstance(j, bool) for j in tail
+            not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in tail
         ):
-            raise SchemaError("curve kind needs an integer array tail 'I'")
+            raise SchemaError("curve kind needs a nonnegative integer array tail 'I'")
+        if head in tail:
+            raise SchemaError(f"head {head} may not lie in the tail")
         cls = TypeA if tag == "A" else TypeB
         return cls(head, frozenset(tail))
     raise SchemaError(f"unknown curve kind tag {tag!r}")

@@ -44,6 +44,7 @@ from typing import NamedTuple, Sequence
 from .curveclass import TypeA, TypeB, classify, is_nodal_cycle_class
 from .cycle import (
     CycleConfig,
+    CycleReport,
     Violation,
     cycle_class,
     validate_cycle,
@@ -54,9 +55,10 @@ from .errors import (
     NotDisjointError,
     NotLemmaFormError,
     NotTreeShapedError,
+    RankMismatchError,
     SchemaError,
 )
-from .lattice import ClassVector, _class_sum, _pairings, e_sum, intersect, square, zero
+from .lattice import ClassVector, _class_sum, _pairings, e_sum, intersect, square
 
 __all__ = [
     "DivisorReport",
@@ -137,18 +139,10 @@ class MaximalDivisorConfig:
 
 
 @dataclass(frozen=True)
-class DivisorReport:
-    violations: tuple[Violation, ...] = ()
+class DivisorReport(CycleReport):
     trace: tuple[frozenset[int], ...] = ()
     total: ClassVector | None = None
     support: frozenset[int] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
 
 
 def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
@@ -307,11 +301,13 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
 
     Raises:
         NonCurveComponentError: a component fits neither shape.
+        RankMismatchError: a component's rank differs from the first's.
+            Each component's shape is checked before its rank.
     """
     if not curves:
         raise NonCurveComponentError("empty divisor has no genus")
+    n = curves[0].n
     adjunction = 0
-    total = zero(curves[0].n)
     for c in curves:
         kind = classify(c)
         if isinstance(kind, (TypeA, TypeB)):
@@ -323,8 +319,9 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
                     f"component {list(c.coeffs)} is neither a curve class nor -e_I"
                 )
             adjunction += -square(c)
-        total = total + c
-    value = adjunction + square(total)
+        if c.n != n:
+            raise RankMismatchError(f"rank mismatch: {n} vs {c.n}")
+    value = adjunction + square(_class_sum(curves, n))
     # value = -2 (#smooth components) + 2 (#pairwise meetings), always even
     return 1 + value // 2
 

@@ -97,7 +97,8 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
 
 class _Pool(NamedTuple):
     classes: tuple[ClassVector, ...]
-    kinds: tuple[CurveKind, ...]
+    heads: tuple[int, ...]
+    tails: tuple[int, ...]
     squares: tuple[int, ...]
     apart: tuple[int, ...]
     meets_once: tuple[int, ...]
@@ -124,8 +125,9 @@ def _bits(mask: int) -> Iterable[int]:
 @lru_cache(maxsize=2)
 def _pool(n: int) -> _Pool:
     """The candidate classes of rank n with the tables every search of
-    the oracle reads instead of building its own: their `classify`
-    kinds and their squares.
+    the oracle reads instead of building its own: their heads, their
+    tails as bitsets over basis labels (bit k of `tails[i]` stands for
+    label k) and their squares.
 
     Pairwise relations are kept only as bitsets over class indices (bit
     j stands for class j): `apart[i]`, `meets_once[i]` and
@@ -140,14 +142,16 @@ def _pool(n: int) -> _Pool:
     coefficients run lead, then -1s, then 0s inside every cell that P
     splits the labels into (see `enumerate_cycles`).
 
-    Each table has one entry per class (0.3 MB in all at n = 6), but
+    Each table has one entry per class (0.2 MB in all at n = 6), but
     the build pairs every two classes, so the two ranks used last stay
     memoised: enough for work that alternates between two ranks, such
     as sweeps at n = 5 and n = 6.
     """
     cand = candidate_curve_classes(n)
     rows = [c.coeffs for c in cand]
-    kinds = tuple(classify(c) for c in cand)
+    # every row has its lead, 1 or -2, at the head and -1 on the tail
+    heads = tuple(next(k for k, a in enumerate(row) if a not in (0, -1)) for row in rows)
+    tails = tuple(_mask(k for k, a in enumerate(row) if a == -1) for row in rows)
     squares = tuple(-sum(map(mul, a, a)) for a in rows)
     # each class's row of pairings, filed by value 0, 1 or 2 (none is
     # higher): the arithmetic of `intersect`, without its rank check
@@ -177,12 +181,13 @@ def _pool(n: int) -> _Pool:
                 fits[P] |= fits[P ^ bit]
     return _Pool(
         cand,
-        kinds,
+        heads,
+        tails,
         squares,
         apart,
         meets_once,
         meets_twice,
-        _mask(i for i, k in enumerate(kinds) if isinstance(k, TypeB)),
+        _mask(i for i, (row, h) in enumerate(zip(rows, heads)) if row[h] == -2),
         MappingProxyType(
             {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
         ),
@@ -191,7 +196,7 @@ def _pool(n: int) -> _Pool:
     )
 
 
-def _orbit_roots(kinds: Sequence[CurveKind]) -> list[int]:
+def _orbit_roots(pool: _Pool) -> list[int]:
     """Indices of the classes with head 0 and tail {1, ..., t}.
 
     A basis permutation maps a class to exactly the classes of the same
@@ -199,8 +204,8 @@ def _orbit_roots(kinds: Sequence[CurveKind]) -> list[int]:
     """
     return [
         i
-        for i, k in enumerate(kinds)
-        if k.head == 0 and k.tail == set(range(1, len(k.tail) + 1))
+        for i, (h, t) in enumerate(zip(pool.heads, pool.tails))
+        if h == 0 and t == (1 << (t.bit_count() + 1)) - 2
     ]
 
 
@@ -310,11 +315,11 @@ def enumerate_cycles(
 
     pool = _pool(n)
     cand, meets_once, apart, sq = pool.classes, pool.meets_once, pool.apart, pool.squares
+    type_b = pool.type_b
     m = len(cand)
-    is_b = [isinstance(k, TypeB) for k in pool.kinds]
     everything = (1 << m) - 1
     if symmetry:
-        first_pool: Sequence[int] = _orbit_roots(pool.kinds)
+        first_pool: Sequence[int] = _orbit_roots(pool)
         cuts, fits = pool.cuts, pool.fits
     else:
         # every label cell then stays whole and admits every class
@@ -323,11 +328,13 @@ def enumerate_cycles(
 
     def found() -> Iterable[tuple[tuple[int, ...], int]]:
         # each prefix of s - 1 classes once, with the bitset of the
-        # classes that close it into a cycle
+        # classes that close it into a cycle.  Two type B classes pair
+        # to -(4[h = h'] + 2[h in T'] + 2[h' in T] + |T & T'|) <= 0, so
+        # the one-type-B rule only binds where pairing 0 is allowed:
+        # not in the s = 2 branch, nor among the closing classes
         if s == 2:
             for f in first_pool:
-                partners = pool.meets_twice[f] & fits[cuts[f]]
-                yield (f,), partners & ~pool.type_b if is_b[f] else partners
+                yield (f,), pool.meets_twice[f] & fits[cuts[f]]
             return
 
         def extend(
@@ -345,20 +352,18 @@ def enumerate_cycles(
                 for j in _bits(nxt):
                     seq.append(j)
                     yield from extend(
-                        seq, allowed & ~pool.type_b if is_b[j] else allowed, free, cells | cuts[j]
+                        seq,
+                        allowed & ~type_b if type_b >> j & 1 else allowed,
+                        free,
+                        cells | cuts[j],
                     )
                     seq.pop()
                 return
             # each seq + [j] is a prefix of s - 1 classes, closed by the
             # classes meeting both j and the root
-            close = meets_once[root] & free
+            close = meets_once[root] & free & allowed
             for j in _bits(nxt):
-                closing = (
-                    meets_once[j]
-                    & close
-                    & (allowed & ~pool.type_b if is_b[j] else allowed)
-                    & fits[cells | cuts[j]]
-                )
+                closing = meets_once[j] & close & fits[cells | cuts[j]]
                 if symmetry:
                     # the reflected path closes with the larger of the
                     # two squares next to the root and finds it anyway
@@ -367,7 +372,7 @@ def enumerate_cycles(
                     yield (*seq, j), closing
 
         for f in first_pool:
-            allowed = everything & ~pool.type_b if is_b[f] else everything
+            allowed = everything & ~type_b if type_b >> f & 1 else everything
             if symmetry:
                 # the canonical rotation starts at a minimal square, so
                 # some sibling root finds any class with a smaller one
@@ -383,20 +388,11 @@ def enumerate_cycles(
 
         return tuple(ordered())
 
-    # a set of classes closes into a cycle in only one dihedral order,
-    # so the row set alone already identifies the rotation/reflection
-    # class and the expensive key runs once per candidate class set
     canon: dict[tuple, CycleConfig] = {}
-    seen_rows: set[frozenset] = set()
     for prefix, closing in found():
         head = [cand[i].coeffs for i in prefix]
         for j in _bits(closing):
-            seq_rows = [*head, cand[j].coeffs]
-            rows = frozenset(seq_rows)
-            if rows in seen_rows:
-                continue
-            seen_rows.add(rows)
-            key = _canonical_key(seq_rows)
+            key = _canonical_key([*head, cand[j].coeffs])
             if key not in canon:
                 canon[key] = CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None)
     return tuple(canon[k] for k in sorted(canon))
@@ -523,8 +519,8 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[int, ...]]:
     admits no such numbering and is excluded.
     """
     pool = _pool(n)
-    kinds, meets_once, apart = pool.kinds, pool.meets_once, pool.apart
-    everything = (1 << len(kinds)) - 1
+    heads, tails, meets_once, apart = pool.heads, pool.tails, pool.meets_once, pool.apart
+    everything = (1 << len(heads)) - 1
     type_a = everything & ~pool.type_b
 
     def extend(seq: list[int], free: int) -> Iterable[tuple[int, ...]]:
@@ -534,7 +530,7 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[int, ...]]:
             return
         last = seq[-1]
         for j in _bits(meets_once[last] & free & type_a):
-            if kinds[j].head in kinds[last].tail:
+            if tails[last] >> heads[j] & 1:
                 seq.append(j)
                 yield from extend(seq, free & apart[last])
                 seq.pop()
@@ -574,33 +570,27 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
-    cand, pool_kinds = pool.classes, pool.kinds
+    cand = pool.classes
     pool_rows = [c.coeffs for c in cand]
+    # (ii) compares the tails of every two curves but the two ends
+    pairs = [(p, q) for p, q in combinations(range(j), 2) if (p, q) != (0, j - 1)]
     witnesses = []
     positives = []
     for chain in _type_a_chains(n, j):
-        kinds = [pool_kinds[i] for i in chain]
-        heads = {k.head for k in kinds}
-        tails = [k.tail for k in kinds]
-
         # (i) by plain coefficient arithmetic on the rows
         rows = [pool_rows[i] for i in chain]
         cond_i = isinstance(_kind(tuple(map(sum, zip(*rows)))), TypeB) and all(
             isinstance(_kind(total), TypeA) for total in _strict_sub_sums(rows)
         )
 
+        # (ii) on the tail bitsets and the mask of the heads
+        tails = [pool.tails[i] for i in chain]
         overlap = tails[0] & tails[j - 1]
-        cond_ii = len(overlap) == 1 and not (overlap & heads)
-        if cond_ii:
-            for p in range(j):
-                for q in range(p + 1, j):
-                    if (p, q) == (0, j - 1):
-                        continue
-                    if tails[p] & tails[q]:
-                        cond_ii = False
-                        break
-                if not cond_ii:
-                    break
+        cond_ii = (
+            overlap.bit_count() == 1
+            and not overlap & _mask({pool.heads[i] for i in chain})
+            and not any(tails[p] & tails[q] for p, q in pairs)
+        )
 
         if cond_i != cond_ii:
             witnesses.append(tuple(cand[i] for i in chain))

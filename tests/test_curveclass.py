@@ -215,3 +215,12 @@ def test_kind_json_rejects_bad_payloads():
         kind_from_json({"kind": "none", "defect": True})
     with pytest.raises(SchemaError):
         kind_from_json([1, 2])
+    # a head inside the tail, or a negative index, names no curve
+    with pytest.raises(SchemaError):
+        kind_from_json({"kind": "A", "i": 0, "I": [0]})
+    with pytest.raises(SchemaError):
+        kind_from_json({"kind": "B", "i": 2, "I": [1, 2]})
+    with pytest.raises(SchemaError):
+        kind_from_json({"kind": "A", "i": -1, "I": []})
+    with pytest.raises(SchemaError):
+        kind_from_json({"kind": "B", "i": 0, "I": [1, -2]})

@@ -14,6 +14,7 @@ from donlat import (
     NotDisjointError,
     NotLemmaFormError,
     NotTreeShapedError,
+    RankMismatchError,
     SchemaError,
     SecondComponentVerdict,
     TreeConfig,
@@ -203,6 +204,13 @@ def test_arithmetic_genus():
         arithmetic_genus((ClassVector((1, 1)),))
     with pytest.raises(NonCurveComponentError):
         arithmetic_genus(())
+    # each component's shape is checked, then its rank, in order
+    with pytest.raises(RankMismatchError, match="rank mismatch: 3 vs 2"):
+        arithmetic_genus((e(0, 3) - e(1, 3), e(0, 2) - e(1, 2), e(0, 3) + e(1, 3)))
+    with pytest.raises(NonCurveComponentError):
+        arithmetic_genus((e(0, 3) + e(1, 3), e(0, 2) - e(1, 2)))
+    with pytest.raises(NonCurveComponentError):
+        arithmetic_genus((e(0, 3) - e(1, 3), ClassVector((2, 2))))
 
 
 def test_simply_connected_class():

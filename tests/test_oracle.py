@@ -74,10 +74,12 @@ def test_pool_tables_match_intersect_and_classify():
         pool = _pool(n)
         cand = pool.classes
         assert cand == candidate_curve_classes(n)
+        kinds = [classify(a) for a in cand]
         for i, a in enumerate(cand):
-            assert pool.kinds[i] == classify(a)
+            assert pool.heads[i] == kinds[i].head
+            assert pool.tails[i] == sum(1 << k for k in kinds[i].tail)
             assert pool.squares[i] == intersect(a, a)
-        assert pool.type_b == sum(1 << i for i, k in enumerate(pool.kinds) if isinstance(k, TypeB))
+        assert pool.type_b == sum(1 << i for i, k in enumerate(kinds) if isinstance(k, TypeB))
         assert set(pool.square_at_least) == set(pool.squares)
         for v, mask in pool.square_at_least.items():
             assert mask == sum(1 << i for i, q in enumerate(pool.squares) if q >= v)
@@ -151,8 +153,9 @@ def test_pool_keeps_only_the_last_two_ranks():
 
 def test_orbit_roots_meet_every_basis_permutation_orbit_once():
     for n in range(1, 6):
-        cand, kinds, *_ = _pool(n)
-        roots = {cand[i] for i in _orbit_roots(kinds)}
+        pool = _pool(n)
+        cand = pool.classes
+        roots = {cand[i] for i in _orbit_roots(pool)}
         assert len(roots) == 2 * n
         seen = set()
         for c in cand:
@@ -336,10 +339,10 @@ def _reference_symmetric_cycles(n, s):
     pool = _pool(n)
     cand, meets_once, apart = pool.classes, pool.meets_once, pool.apart
     m = len(cand)
-    is_b = [isinstance(k, TypeB) for k in pool.kinds]
+    is_b = [isinstance(classify(c), TypeB) for c in cand]
     sq = [intersect(c, c) for c in cand]
     everything = (1 << m) - 1
-    roots = _orbit_roots(pool.kinds)
+    roots = _orbit_roots(pool)
     found = []
 
     def extend(seq, allowed, free):
@@ -507,7 +510,7 @@ def test_compose_chain_matches_the_sweeps_row_sum_kind():
         for i, j in combinations(range(len(cand)), 2):
             if intersect(cand[i], cand[j]) != 1:
                 continue
-            if isinstance(pool.kinds[i], TypeB) and isinstance(pool.kinds[j], TypeB):
+            if isinstance(classify(cand[i]), TypeB) and isinstance(classify(cand[j]), TypeB):
                 continue
             row_sum = tuple(map(add, cand[i].coeffs, cand[j].coeffs))
             assert compose_chain(cand[i], cand[j]) == oracle._kind(row_sum), (n, i, j)
@@ -515,11 +518,12 @@ def test_compose_chain_matches_the_sweeps_row_sum_kind():
 
 def test_internonvide_sweep():
     positives = {}
-    for n in range(2, 6):
-        for j in range(2, n + 1):
-            report = verify_internonvide(n, j)
-            assert report.ok and report.witnesses == (), (n, j)
-            positives[(n, j)] = len(report.positives)
+    # at n = 6 only the shortest and the longest chains; j = 3..5 take seconds
+    cases = [(n, j) for n in range(2, 6) for j in range(2, n + 1)] + [(6, 2), (6, 6)]
+    for n, j in cases:
+        report = verify_internonvide(n, j)
+        assert report.ok and report.witnesses == (), (n, j)
+        positives[(n, j)] = len(report.positives)
     # interlocking chains exist at every size, pinned against the sweep
     assert positives == {
         (2, 2): 0,
@@ -532,6 +536,8 @@ def test_internonvide_sweep():
         (5, 3): 480,
         (5, 4): 120,
         (5, 5): 0,
+        (6, 2): 3240,
+        (6, 6): 0,
     }
     with pytest.raises(IndexRangeError):
         verify_internonvide(3, 1)
