@@ -10,7 +10,8 @@ numerical:
   * s >= 3: consecutive classes meet once, all other pairs are disjoint.
 
 For s >= 2 every class must be type A or type B and at most one type B
-may occur (two of them can never both sit in one cycle).
+may occur.  The pairings above already rule out a second one; the proof
+is in `oracle.enumerate_cycles`, whose search has no type B filter.
 
 The central invariant of a cycle C with class sum C is the quantity
 s - C.C  (number of curves minus self-intersection), which for

@@ -285,6 +285,24 @@ def enumerate_cycles(
     the lowest index up, and the symmetric dedup visits them in the
     same order.
 
+    The search has no one-type-B rule: the pairings already leave at
+    most one type B class per cycle, at every node of the search.  Two
+    type B classes -2 e_h - e_T and -2 e_h' - e_T' pair to
+    -(4[h = h'] + 2[h in T'] + 2[h' in T] + |T & T'|) <= 0.  Each state
+    seq + [j] is a chain (neighbours pair 1, all other pairs 0), and so
+    is each arc of a found cycle that does not hold both the root and
+    the closing class.  Let P = -2 e_h - e_T be type B and D a class
+    with P.D = 1.  Then D is type A, D = e_d - e_U, and P.D = 2 D_h +
+    [d in T] - |T & U| = 1 leaves two cases: D_h = 0, d in T and T & U
+    empty, where P + D = -2 e_h - e_(T - d | U); or d = h and T & U =
+    {k}, where P + D = -2 e_k - e_(h | T | U - k).  Either way P + D is
+    type B again.  In a chain that starts at a type B class, the sum of
+    the first classes pairs 1 with the class after them (only the last
+    of them neighbours it), so by induction every such sum is type B
+    and every later class type A.  Hence two type B classes are neither
+    on one chain nor the root and the closing class, which pair 1; at
+    s = 2 they would pair 2.
+
     Raises:
         CapExceededError: n or s exceeds the configured cap.
         IndexRangeError: n or s below 1.
@@ -315,7 +333,6 @@ def enumerate_cycles(
 
     pool = _pool(n)
     cand, meets_once, apart, sq = pool.classes, pool.meets_once, pool.apart, pool.squares
-    type_b = pool.type_b
     m = len(cand)
     everything = (1 << m) - 1
     if symmetry:
@@ -328,40 +345,32 @@ def enumerate_cycles(
 
     def found() -> Iterable[tuple[tuple[int, ...], int]]:
         # each prefix of s - 1 classes once, with the bitset of the
-        # classes that close it into a cycle.  Two type B classes pair
-        # to -(4[h = h'] + 2[h in T'] + 2[h' in T] + |T & T'|) <= 0, so
-        # the one-type-B rule only binds where pairing 0 is allowed:
-        # not in the s = 2 branch, nor among the closing classes
+        # classes that close it into a cycle
         if s == 2:
             for f in first_pool:
                 yield (f,), pool.meets_twice[f] & fits[cuts[f]]
             return
 
         def extend(
-            seq: list[int], allowed: int, free: int, cells: int
+            seq: list[int], free: int, cells: int
         ) -> Iterable[tuple[tuple[int, ...], int]]:
-            # allowed: the classes no placed curve rules out by type or
-            # square; free: those meeting none of the interior curves;
+            # free: the classes meeting none of the interior curves, and
+            # with symmetry on none with a square below the root's;
             # cells: the gaps between labels some placed curve tells apart
             root, last = seq[0], seq[-1]
-            nxt = meets_once[last] & allowed & free & fits[cells]
+            nxt = meets_once[last] & free & fits[cells]
             if len(seq) > 1:
                 nxt &= apart[root]
                 free &= apart[last]
             if len(seq) < s - 2:
                 for j in _bits(nxt):
                     seq.append(j)
-                    yield from extend(
-                        seq,
-                        allowed & ~type_b if type_b >> j & 1 else allowed,
-                        free,
-                        cells | cuts[j],
-                    )
+                    yield from extend(seq, free, cells | cuts[j])
                     seq.pop()
                 return
             # each seq + [j] is a prefix of s - 1 classes, closed by the
             # classes meeting both j and the root
-            close = meets_once[root] & free & allowed
+            close = meets_once[root] & free
             for j in _bits(nxt):
                 closing = meets_once[j] & close & fits[cells | cuts[j]]
                 if symmetry:
@@ -372,12 +381,10 @@ def enumerate_cycles(
                     yield (*seq, j), closing
 
         for f in first_pool:
-            allowed = everything & ~type_b if type_b >> f & 1 else everything
-            if symmetry:
-                # the canonical rotation starts at a minimal square, so
-                # some sibling root finds any class with a smaller one
-                allowed &= pool.square_at_least[sq[f]]
-            yield from extend([f], allowed, everything, cuts[f])
+            # the canonical rotation starts at a minimal square, so some
+            # sibling root finds any class with a smaller one
+            free = pool.square_at_least[sq[f]] if symmetry else everything
+            yield from extend([f], free, cuts[f])
 
     if not symmetry:
         def ordered() -> Iterable[CycleConfig]:
@@ -471,8 +478,9 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     triangle of -3 curves arises.)  This is what `compose_chain` returns
     on such a pair; the sweep reads the pairing and the operand kinds
     from the pool and classifies the coefficient sum itself.  For pairs
-    of two type B classes the pairing must never be positive (which is
-    why a cycle cannot hold two of them); the maximum found is
+    of two type B classes the pairing must never be positive, so no two
+    of them are neighbours in a cycle (`enumerate_cycles` shows from
+    this why no cycle holds two at all); the maximum found is
     reported.  It is read from the pool's bitsets of pairings 0, 1 and
     2, so only the type B pairs meeting once or twice are visited one by
     one.  From n = 2 on the type B classes -2 e_0 and -2 e_1 pair to 0,
@@ -566,6 +574,20 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     essential: an unorientable chain can satisfy (i) while its end
     tails share the middle curve's head on top of the type B index,
     breaking (ii).
+
+    On oriented chains the clauses "exactly one" and "nobody's head"
+    follow from the rest of (ii): the end tails meet and all other
+    tail pairs are disjoint.  Write the chain as A_p = e_(d_p) -
+    e_(U_p), with d_(p+1) in U_p; two type A classes pair to
+    -[d = d'] + [d in U'] + [d' in U] - |U & U'|.  No head lies in its
+    own tail, so d_0 and d_(j-1) miss U_0 & U_(j-1).  At j = 2,
+    A_0.A_1 = 1 gives |U_0 & U_1| = [d_0 in U_1] <= 1.  At j >= 3, a
+    head d_p with 2 <= p < j - 1 lies in U_(p-1), which misses U_0;
+    and if d_1 lay in U_(j-1), A_1.A_(j-1) would be 1 + [d_(j-1) in
+    U_1]: 2 for neighbours at j = 3, at least 1 for non-neighbours at
+    j >= 4.  Last, A_0.A_(j-1) = 0 gives |U_0 & U_(j-1)| = [d_0 in
+    U_(j-1)] - [d_0 = d_(j-1)], since d_(j-1) lies in U_(j-2), which
+    misses U_0; that is at most 1.
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")

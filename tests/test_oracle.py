@@ -197,11 +197,15 @@ def test_enumeration_counts():
 
 
 def test_enumerated_cycles_validate():
-    for n in range(1, 5):
+    # the search has no one-type-B filter, so a cycle with two type B
+    # curves would surface here as a `two-type-b` violation
+    cases = [(n, True) for n in range(1, 7)] + [(n, False) for n in range(1, 5)]
+    for n, symmetry in cases:
         for s in range(1, n + 1):
-            for cfg in enumerate_cycles(n, s):
+            for cfg in enumerate_cycles(n, s, symmetry=symmetry, cap=6):
                 assert cfg.n == n and cfg.s == s
-                assert validate_cycle(cfg).ok
+                report = validate_cycle(cfg)
+                assert report.ok, (cfg, report.violations)
 
 
 def test_enumeration_is_deterministic():
