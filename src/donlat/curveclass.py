@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import (
+    IndexRangeError,
     NotACurveError,
     NotAdjacentError,
     NotTypeAError,
@@ -124,9 +125,18 @@ def classify(x: ClassVector) -> CurveKind:
 
 
 def reconstruct(kind: CurveKind, n: int) -> ClassVector:
-    """Inverse of classify for curve kinds: rebuild the coefficient vector."""
+    """Inverse of classify for curve kinds: rebuild the coefficient vector.
+
+    Raises:
+        NotACurveError: kind is NonCurve.
+        IndexRangeError: the head or a tail index falls outside [0, n-1]
+            (so always when n < 1).
+    """
     if isinstance(kind, NonCurve):
         raise NotACurveError("cannot reconstruct a NonCurve")
+    for k in (kind.head, *kind.tail):
+        if not 0 <= k < n:
+            raise IndexRangeError(f"index {k} outside [0, {n - 1}]")
     coeffs = [0] * n
     coeffs[kind.head] = 1 if isinstance(kind, TypeA) else -2
     for j in kind.tail:

@@ -5,20 +5,17 @@ rank n are the n * 2^n vectors of type A or type B shape, and cycles,
 chains and coefficient boxes are swept in full so the structural claims
 made elsewhere in the package can be checked rather than trusted.
 
-The search spaces factor over the first curve of a configuration;
-partitions are independent and their results merge deterministically by
-sorting canonical forms, so the sweeps parallelize trivially even
-though this implementation walks them sequentially.
-
 With symmetry on, the cycle search is an orderly generation (Read
-1978, "Every one a winner"): it starts from one root per
-basis-permutation orbit and keeps basis labels that no placed curve
-tells apart in a fixed order, so it meets each class in about one
-labelling.  The canonical-key dedup after it stays as the safety net
-and picks the representative returned.
+1978, "Every one a winner"): it keeps basis labels that no placed
+curve tells apart in a fixed order, so it meets each class in about
+one labelling.  With no curve placed every label is interchangeable,
+so the same rule picks the roots, one per basis-permutation orbit.
+The canonical-key dedup after it stays as the safety net and picks
+the representative returned.
 
-Ranks are capped (default 5, override via the DONLAT_CAP environment
-variable or an explicit argument) to keep everything interactive.
+`enumerate_cycles` and `census` cap the rank (default 5, override via
+the DONLAT_CAP environment variable or an explicit argument) to keep
+them interactive.  The `verify_*` sweeps take no cap.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -196,19 +193,6 @@ def _pool(n: int) -> _Pool:
     )
 
 
-def _orbit_roots(pool: _Pool) -> list[int]:
-    """Indices of the classes with head 0 and tail {1, ..., t}.
-
-    A basis permutation maps a class to exactly the classes of the same
-    shape and tail size, so these are one class from each orbit.
-    """
-    return [
-        i
-        for i, (h, t) in enumerate(zip(pool.heads, pool.tails))
-        if h == 0 and t == (1 << (t.bit_count() + 1)) - 2
-    ]
-
-
 # --- canonical form -------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -267,17 +251,20 @@ def enumerate_cycles(
     With symmetry on, the search also breaks the basis-permutation
     symmetry as it goes.  Once some curves are placed, labels whose
     coefficient columns agree over all of them are interchangeable.
-    Such labels form runs of consecutive labels ("cells"): the root,
-    with head 0 and tail {1, ..., t}, splits the labels into runs, and
-    each placed curve splits the runs where its coefficients change.
-    A next curve is kept only if inside every cell its coefficients run
-    lead, then -1s, then 0s.  This loses no class: permuting the labels
+    Such labels form runs of consecutive labels ("cells"), and each
+    placed curve splits the runs where its coefficients change.  A next
+    curve is kept only if inside every cell its coefficients run lead,
+    then -1s, then 0s.  This loses no class: permuting the labels
     inside the cells fixes every placed curve and moves any next curve
     into that form, and applied to the rest of the sequence too it gives
     a sequence of the same class that keeps the rule one step further.
-    Pairings, kinds and squares do not change under it, so the root
-    orbits and the square prunes compose with the rule.  What is left
-    is a few labellings per class, which the canonical key merges.
+    The root is no exception: with no curve placed all labels form one
+    cell, so the rule keeps the classes with head 0 and tail {1, ...,
+    t} (`fits[0]`).  A basis permutation maps a class to exactly the
+    classes of its shape and tail size, so these are one root per
+    orbit.  Pairings, kinds and squares do not change under the
+    permutations, so the square prunes compose with the rule.  What is
+    left is a few labellings per class, which the canonical key merges.
 
     Both modes run one search.  It yields each prefix of s - 1 pool
     indices once, with the bitset of the classes that close it into a
@@ -336,18 +323,17 @@ def enumerate_cycles(
     m = len(cand)
     everything = (1 << m) - 1
     if symmetry:
-        first_pool: Sequence[int] = _orbit_roots(pool)
         cuts, fits = pool.cuts, pool.fits
     else:
-        # every label cell then stays whole and admits every class
-        first_pool = range(m)
+        # every label cell then stays whole and admits every class,
+        # so every class is a root
         cuts, fits = (0,) * m, (everything,)
 
     def found() -> Iterable[tuple[tuple[int, ...], int]]:
         # each prefix of s - 1 classes once, with the bitset of the
         # classes that close it into a cycle
         if s == 2:
-            for f in first_pool:
+            for f in _bits(fits[0]):
                 yield (f,), pool.meets_twice[f] & fits[cuts[f]]
             return
 
@@ -380,7 +366,7 @@ def enumerate_cycles(
                 if closing:
                     yield (*seq, j), closing
 
-        for f in first_pool:
+        for f in _bits(fits[0]):
             # the canonical rotation starts at a minimal square, so some
             # sibling root finds any class with a smaller one
             free = pool.square_at_least[sq[f]] if symmetry else everything
@@ -457,7 +443,12 @@ def verify_rational_pattern(
     defect vanishes and exactly one coefficient falls outside {0, -1};
     the classifier must agree on every vector.  Passing a deliberately
     broken classifier demonstrates that the sweep catches it.
+
+    Raises:
+        IndexRangeError: n below 1 or coeff_bound below 0.
     """
+    if n < 1 or coeff_bound < 0:
+        raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n} and {coeff_bound}")
     witnesses = []
     for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
         v = ClassVector(coeffs)
@@ -547,18 +538,6 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[int, ...]]:
         yield from extend([root], everything)
 
 
-def _strict_sub_sums(rows: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-    """The coefficient sums of rows p..q over every contiguous run but
-    the whole, as running sums from each start p."""
-    j = len(rows)
-    for p in range(j):
-        total = rows[p]
-        yield total
-        for q in range(p + 1, j if p else j - 1):
-            total = tuple(map(add, total, rows[q]))
-            yield total
-
-
 def verify_internonvide(n: int, j: int) -> OverlapReport:
     """Sweep all oriented chains of j type A curves and compare two
     conditions:
@@ -575,19 +554,37 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     tails share the middle curve's head on top of the type B index,
     breaking (ii).
 
+    (i) needs only three sums: the whole chain and its two maximal
+    strict sub-chains, the chain less A_0 and the chain less A_(j-1).
+    First, every contiguous run A_p + ... + A_q sums to a curve class.
+    If x and y are curve classes with x.y = 1, then sum_k ((x + y)_k^2
+    + (x + y)_k) = 2 + 2 - 2 x.y = 2; as c^2 + c is 0 for c in {0, -1},
+    2 for c in {1, -2} and at least 6 otherwise, exactly one
+    coefficient of x + y is 1 or -2 and the rest are 0 or -1, so x + y
+    is a curve class.  A run pairs 1 with A_(q+1) and with A_(p-1),
+    since only its end curve neighbours each, so induction on its
+    length covers every run.  Second, a type B run stays type B when a
+    neighbour is added (P type B and P.D = 1 give P + D type B, see
+    `enumerate_cycles`).  A strict run misses A_0 or A_(j-1), so it
+    lies inside one of the two maximal ones, and adding neighbours one
+    at a time turns it into that one.  So if some strict run were type
+    B, one of the two would be too: every strict run is type A exactly
+    when those two are.  (`verify_chain_dichotomy` sweeps both facts on
+    pool pairs.)
+
     On oriented chains the clauses "exactly one" and "nobody's head"
-    follow from the rest of (ii): the end tails meet and all other
-    tail pairs are disjoint.  Write the chain as A_p = e_(d_p) -
-    e_(U_p), with d_(p+1) in U_p; two type A classes pair to
-    -[d = d'] + [d in U'] + [d' in U] - |U & U'|.  No head lies in its
-    own tail, so d_0 and d_(j-1) miss U_0 & U_(j-1).  At j = 2,
-    A_0.A_1 = 1 gives |U_0 & U_1| = [d_0 in U_1] <= 1.  At j >= 3, a
-    head d_p with 2 <= p < j - 1 lies in U_(p-1), which misses U_0;
-    and if d_1 lay in U_(j-1), A_1.A_(j-1) would be 1 + [d_(j-1) in
-    U_1]: 2 for neighbours at j = 3, at least 1 for non-neighbours at
-    j >= 4.  Last, A_0.A_(j-1) = 0 gives |U_0 & U_(j-1)| = [d_0 in
-    U_(j-1)] - [d_0 = d_(j-1)], since d_(j-1) lies in U_(j-2), which
-    misses U_0; that is at most 1.
+    follow from the rest of (ii), so (ii) is computed as that rest: the
+    end tails meet and all other tail pairs are disjoint.  Write the
+    chain as A_p = e_(d_p) - e_(U_p), with d_(p+1) in U_p; two type A
+    classes pair to -[d = d'] + [d in U'] + [d' in U] - |U & U'|.  No
+    head lies in its own tail, so d_0 and d_(j-1) miss U_0 & U_(j-1).
+    At j = 2, A_0.A_1 = 1 gives |U_0 & U_1| = [d_0 in U_1] <= 1.
+    At j >= 3, a head d_p with 2 <= p < j - 1 lies in U_(p-1), which
+    misses U_0; and if d_1 lay in U_(j-1), A_1.A_(j-1) would be 1 +
+    [d_(j-1) in U_1]: 2 for neighbours at j = 3, at least 1 for
+    non-neighbours at j >= 4.  Last, A_0.A_(j-1) = 0 gives
+    |U_0 & U_(j-1)| = [d_0 in U_(j-1)] - [d_0 = d_(j-1)], since
+    d_(j-1) lies in U_(j-2), which misses U_0; that is at most 1.
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
@@ -599,19 +596,18 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     witnesses = []
     positives = []
     for chain in _type_a_chains(n, j):
-        # (i) by plain coefficient arithmetic on the rows
+        # (i) by plain coefficient arithmetic on the rows: the chain
+        # sum, and that sum less either end curve
         rows = [pool_rows[i] for i in chain]
-        cond_i = isinstance(_kind(tuple(map(sum, zip(*rows)))), TypeB) and all(
-            isinstance(_kind(total), TypeA) for total in _strict_sub_sums(rows)
+        total = tuple(map(sum, zip(*rows)))
+        cond_i = isinstance(_kind(total), TypeB) and all(
+            isinstance(_kind(tuple(map(sub, total, end))), TypeA) for end in (rows[0], rows[-1])
         )
 
-        # (ii) on the tail bitsets and the mask of the heads
+        # (ii) on the tail bitsets
         tails = [pool.tails[i] for i in chain]
-        overlap = tails[0] & tails[j - 1]
-        cond_ii = (
-            overlap.bit_count() == 1
-            and not overlap & _mask({pool.heads[i] for i in chain})
-            and not any(tails[p] & tails[q] for p, q in pairs)
+        cond_ii = bool(tails[0] & tails[j - 1]) and not any(
+            tails[p] & tails[q] for p, q in pairs
         )
 
         if cond_i != cond_ii:

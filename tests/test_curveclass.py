@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from donlat import (
     ClassVector,
+    IndexRangeError,
     NonCurve,
     NotACurveError,
     NotAdjacentError,
@@ -117,6 +118,22 @@ def test_reconstruct_round_trip(ranked):
 def test_reconstruct_rejects_non_curves():
     with pytest.raises(NotACurveError):
         reconstruct(NonCurve(0), 3)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (TypeA(0, frozenset({-1})), 3),  # would wrap to index 2
+        (TypeB(-3, frozenset()), 3),
+        (TypeA(5, frozenset()), 3),
+        (TypeB(0, frozenset({3})), 3),
+        (TypeA(0, frozenset()), 0),
+        (TypeA(0, frozenset()), -2),
+    ],
+)
+def test_reconstruct_rejects_indices_outside_the_rank(kind, n):
+    with pytest.raises(IndexRangeError):
+        reconstruct(kind, n)
 
 
 @given(Vectors)

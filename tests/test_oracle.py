@@ -38,7 +38,7 @@ from donlat import (
     zero,
 )
 from donlat import oracle
-from donlat.oracle import _bits, _canonical_key, _orbit_roots, _pool, _type_a_chains
+from donlat.oracle import _bits, _canonical_key, _pool, _type_a_chains
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -155,7 +155,7 @@ def test_orbit_roots_meet_every_basis_permutation_orbit_once():
     for n in range(1, 6):
         pool = _pool(n)
         cand = pool.classes
-        roots = {cand[i] for i in _orbit_roots(pool)}
+        roots = {cand[i] for i in _bits(pool.fits[0])}
         assert len(roots) == 2 * n
         seen = set()
         for c in cand:
@@ -346,7 +346,12 @@ def _reference_symmetric_cycles(n, s):
     is_b = [isinstance(classify(c), TypeB) for c in cand]
     sq = [intersect(c, c) for c in cand]
     everything = (1 << m) - 1
-    roots = _orbit_roots(pool)
+    # one root per basis-permutation orbit: head 0 and tail {1, ..., t}
+    roots = []
+    for i, c in enumerate(cand):
+        kind = classify(c)
+        if kind.head == 0 and kind.tail == frozenset(range(1, len(kind.tail) + 1)):
+            roots.append(i)
     found = []
 
     def extend(seq, allowed, free):
@@ -460,6 +465,13 @@ def test_rational_pattern_sweep():
     for n in (1, 2, 3, 4):
         report = verify_rational_pattern(n, 3)
         assert report.ok and report.witnesses == ()
+
+
+def test_rational_pattern_rejects_bad_rank_and_bound():
+    # a negative bound used to sweep an empty box and report ok
+    for n, bound in ((0, 2), (-1, 2), (3, -1)):
+        with pytest.raises(IndexRangeError):
+            verify_rational_pattern(n, bound)
 
 
 def test_rational_pattern_catches_a_broken_classifier():
@@ -585,11 +597,11 @@ def _reference_internonvide(n, j):
 
 
 def test_internonvide_matches_the_prefix_sum_reference():
-    for n in range(2, 6):
-        for j in range(2, n + 1):
-            report = verify_internonvide(n, j)
-            got = (report.ok, report.witnesses, report.positives)
-            assert got == _reference_internonvide(n, j), (n, j)
+    cases = [(n, j) for n in range(2, 6) for j in range(2, n + 1)] + [(6, 2), (6, 6)]
+    for n, j in cases:
+        report = verify_internonvide(n, j)
+        got = (report.ok, report.witnesses, report.positives)
+        assert got == _reference_internonvide(n, j), (n, j)
 
 
 def test_larger_rank_regression():
