@@ -126,11 +126,28 @@ def _pool(n: int) -> _Pool:
     tails as bitsets over basis labels (bit k of `tails[i]` stands for
     label k) and their squares.
 
-    Pairwise relations are kept only as bitsets over class indices (bit
-    j stands for class j): `apart[i]`, `meets_once[i]` and
+    Pairings between classes are kept only as bitsets over class
+    indices (bit j stands for class j): `apart[i]`, `meets_once[i]` and
     `meets_twice[i]` hold the classes pairing 0, 1 and 2 with class i,
     `type_b` the type B classes and `square_at_least[v]`, for each
     square v in the pool, the classes whose square is at least v.
+
+    The pairing bitsets come from a closed form.  A class with head h,
+    lead l (1 or -2) and tail T pairs with one with head h', lead l'
+    and tail T' to
+
+        a.b = -l l' [h = h'] + l [h in T'] + l' [h' in T] - |T & T'|.
+
+    For a fixed class i, the classes j sharing (h', l') and the bit
+    [h_i in T_j] share the first three terms, c say, so they pair 0, 1
+    or 2 with i exactly when |T_i & T_j| is c, c - 1 or c - 2.  A
+    bit-sliced counter holds |T_i & T_j| for every j at once: for each
+    label k in T_i it adds the bitset of the classes with -1 at k into
+    a few planes of bits (bit b of the count in plane b; the count is
+    at most |T_i| <= n - 1).  One equality mask over the planes per
+    count then serves every group.  No pairing exceeds 2: if h = h',
+    neither head lies in the other tail and a.b = -l l' - |T & T'|,
+    with l l' in {1, -2, 4}; otherwise a.b <= l + l' and l, l' <= 1.
 
     Cells of basis labels are masks over the n - 1 gaps between
     neighbouring labels, bit k - 1 standing for the gap between labels
@@ -139,10 +156,13 @@ def _pool(n: int) -> _Pool:
     coefficients run lead, then -1s, then 0s inside every cell that P
     splits the labels into (see `enumerate_cycles`).
 
-    Each table has one entry per class (0.2 MB in all at n = 6), but
-    the build pairs every two classes, so the two ranks used last stay
+    Each table has one entry per class, but each pairing bitset has a
+    bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
+    n = 6, about 2 MB at n = 8) and a cold build still takes a few
+    tenths of a second at n = 8.  So the two ranks used last stay
     memoised: enough for work that alternates between two ranks, such
-    as sweeps at n = 5 and n = 6.
+    as sweeps at n = 5 and n = 6, and no more, since every rank up
+    quadruples the memory.
     """
     cand = candidate_curve_classes(n)
     rows = [c.coeffs for c in cand]
@@ -150,17 +170,41 @@ def _pool(n: int) -> _Pool:
     heads = tuple(next(k for k, a in enumerate(row) if a not in (0, -1)) for row in rows)
     tails = tuple(_mask(k for k, a in enumerate(row) if a == -1) for row in rows)
     squares = tuple(-sum(map(mul, a, a)) for a in rows)
-    # each class's row of pairings, filed by value 0, 1 or 2 (none is
-    # higher): the arithmetic of `intersect`, without its rank check
-    relations = []
-    for a in rows:
-        hits: tuple[list[int], ...] = ([], [], [])
-        for j, b in enumerate(rows):
-            p = -sum(map(mul, a, b))
-            if p >= 0:
-                hits[p].append(j)
-        relations.append(tuple(map(_mask, hits)))
-    apart, meets_once, meets_twice = zip(*relations)
+    everything = (1 << len(rows)) - 1
+    # minus[k]: the classes with -1 at label k; groups[h, l]: the
+    # classes with head h and lead l
+    minus = [_mask(i for i, t in enumerate(tails) if t >> k & 1) for k in range(n)]
+    groups: dict[tuple[int, int], int] = {}
+    for i, (row, h) in enumerate(zip(rows, heads)):
+        groups[h, row[h]] = groups.get((h, row[h]), 0) | 1 << i
+    apart, meets_once, meets_twice = [], [], []
+    for row, h, T in zip(rows, heads, tails):
+        l = row[h]
+        planes: list[int] = []
+        for k in _bits(T):
+            carry = minus[k]
+            for b, plane in enumerate(planes):
+                planes[b] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        # equal[v]: the classes j with |T & T_j| = v
+        equal = []
+        for v in range(T.bit_count() + 1):
+            mask = everything
+            for b, plane in enumerate(planes):
+                mask &= plane if v >> b & 1 else ~plane
+            equal.append(mask)
+        hits = [0, 0, 0]
+        for (h2, l2), members in groups.items():
+            base = -l * l2 * (h == h2) + l2 * (T >> h2 & 1)
+            for part, c in ((members & ~minus[h], base), (members & minus[h], base + l)):
+                for p in range(3):
+                    if 0 <= c - p < len(equal):
+                        hits[p] |= part & equal[c - p]
+        apart.append(hits[0])
+        meets_once.append(hits[1])
+        meets_twice.append(hits[2])
     gaps = range(1, n)
     cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
     # a class fits P when every gap where its coefficients step back in
@@ -181,9 +225,9 @@ def _pool(n: int) -> _Pool:
         heads,
         tails,
         squares,
-        apart,
-        meets_once,
-        meets_twice,
+        tuple(apart),
+        tuple(meets_once),
+        tuple(meets_twice),
         _mask(i for i, (row, h) in enumerate(zip(rows, heads)) if row[h] == -2),
         MappingProxyType(
             {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
@@ -195,36 +239,38 @@ def _pool(n: int) -> _Pool:
 
 # --- canonical form -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dihedral_orders(s: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct rotations and reflections of the curve order 0..s-1."""
-    return tuple(
-        dict.fromkeys(
-            tuple((r + d * i) % s for i in range(s)) for r in range(s) for d in (1, -1)
-        )
-    )
+def _dihedral_orders(s: int) -> tuple[slice, ...]:
+    """The distinct rotations and reflections of the curve order 0..s-1,
+    as slices of that order written out twice (0..s-1, 0..s-1)."""
+    rotations = [slice(r, r + s) for r in range(s)]
+    if s <= 2:
+        # every reflection is a rotation there
+        return tuple(rotations)
+    return (*rotations, *(slice(r + s, r, -1) for r in range(s)))
 
 
 def _canonical_key(
-    rows: Sequence[tuple[int, ...]]
+    rows: Sequence[tuple[int, ...]],
+    squares: Sequence[int],
+    orders: Sequence[slice],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimal (self-intersections, coefficient matrix) over the dihedral
     action on curve order composed with all basis-index permutations.
 
-    For a fixed curve order the optimal basis permutation just sorts the
-    coefficient columns, so only the 2s dihedral orders need explicit
-    trying.  The self-intersections are compared first and do not depend
-    on the columns, so columns are sorted only for the orders whose
-    sequence of squares is the least.
+    `squares` holds the rows' self-intersections and `orders` is
+    `_dihedral_orders(len(rows))`.  For a fixed curve order the optimal
+    basis permutation just sorts the coefficient columns, so only the
+    2s dihedral orders need explicit trying.  The self-intersections
+    are compared first and do not depend on the columns, so columns
+    are sorted only for the orders whose sequence of squares is the
+    least.
     """
-    squares = [-sum(map(mul, row, row)) for row in rows]
-    by_order = [
-        (tuple(squares[i] for i in order), order) for order in _dihedral_orders(len(rows))
-    ]
-    selfs = min(by_order)[0]
+    rows, squares = tuple(rows) * 2, tuple(squares) * 2
+    by_order = [squares[o] for o in orders]
+    selfs = min(by_order)
     return min(
-        (selfs, tuple(zip(*sorted(zip(*(rows[i] for i in order))))))
-        for order_selfs, order in by_order
+        (selfs, tuple(zip(*sorted(zip(*rows[o])))))
+        for o, order_selfs in zip(orders, by_order)
         if order_selfs == selfs
     )
 
@@ -232,7 +278,9 @@ def _canonical_key(
 def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     """Canonical representative of a cycle under rotation, reflection and
     basis-index permutation; the dedup key used by enumerate_cycles."""
-    _, mat = _canonical_key([c.coeffs for c in cfg.curves])
+    rows = tuple(c.coeffs for c in cfg.curves)
+    squares = tuple(-sum(map(mul, row, row)) for row in rows)
+    _, mat = _canonical_key(rows, squares, _dihedral_orders(len(rows)))
     return CycleConfig(cfg.n, tuple(ClassVector(row) for row in mat), None)
 
 
@@ -381,13 +429,19 @@ def enumerate_cycles(
 
         return tuple(ordered())
 
+    # a canonical row is a pool row with its labels permuted, and the
+    # pool is closed under label permutations: reuse its classes
+    rows = [c.coeffs for c in cand]
+    by_row = dict(zip(rows, cand)).__getitem__
+    orders = _dihedral_orders(s)
     canon: dict[tuple, CycleConfig] = {}
     for prefix, closing in found():
-        head = [cand[i].coeffs for i in prefix]
+        head = tuple(rows[i] for i in prefix)
+        head_sq = tuple(sq[i] for i in prefix)
         for j in _bits(closing):
-            key = _canonical_key([*head, cand[j].coeffs])
+            key = _canonical_key((*head, rows[j]), (*head_sq, sq[j]), orders)
             if key not in canon:
-                canon[key] = CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None)
+                canon[key] = CycleConfig(n, tuple(map(by_row, key[1])), None)
     return tuple(canon[k] for k in sorted(canon))
 
 

@@ -29,6 +29,7 @@ from donlat import (
     cycle_notation,
     effective_cap,
     enumerate_cycles,
+    fixture,
     from_selfintersections,
     intersect,
     validate_cycle,
@@ -38,7 +39,7 @@ from donlat import (
     zero,
 )
 from donlat import oracle
-from donlat.oracle import _bits, _canonical_key, _pool, _type_a_chains
+from donlat.oracle import _bits, _canonical_key, _dihedral_orders, _pool, _type_a_chains
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -102,6 +103,22 @@ def test_pool_bitsets_match_the_pairing_table():
         assert list(pool.squares) == squares
         for v, mask in pool.square_at_least.items():
             assert mask == sum(1 << i for i, q in enumerate(squares) if q >= v)
+
+
+def test_pool_bitsets_match_intersect_at_ranks_seven_and_eight():
+    # the bit-sliced counter of the closed form needs three planes from
+    # n = 5 on and reaches |T_i & T_j| = 7 at n = 8, for the longest
+    # tails; every j against those rows and rows i at a fixed stride
+    for n, stride in ((7, 9), (8, 37)):
+        pool = _pool(n)
+        cand = pool.classes
+        longest = [i for i, c in enumerate(cand) if len(classify(c).tail) == n - 1]
+        by_value = {0: pool.apart, 1: pool.meets_once, 2: pool.meets_twice}
+        for i in sorted({*range(0, len(cand), stride), *longest}):
+            row = [intersect(cand[i], b) for b in cand]
+            assert max(row) <= 2, (n, cand[i])
+            for v, masks in by_value.items():
+                assert masks[i] == sum(1 << j for j, p in enumerate(row) if p == v), (n, i, v)
 
 
 def test_pool_holds_no_dense_table():
@@ -227,6 +244,18 @@ def test_rank_three_triangles_in_detail():
     ]
 
 
+def test_symmetric_cycles_reuse_the_pool_classes():
+    # the dedup maps each canonical row back to the pool's own object
+    for n in range(2, 7):
+        for s in range(2, n + 1):
+            cycles = enumerate_cycles(n, s, cap=6)
+            classes = _pool(n).classes
+            index = {c.coeffs: i for i, c in enumerate(classes)}
+            for cfg in cycles:
+                for c in cfg.curves:
+                    assert c is classes[index[c.coeffs]], (n, s, cfg)
+
+
 def _reference_raw_cycles(n, s):
     """Every ordered cycle by the list-based search that the bitset
     search in `enumerate_cycles` replaced: each next curve is checked
@@ -302,7 +331,9 @@ def test_canonical_key_matches_a_brute_force_search():
     for n, s, symmetry in cases:
         for cfg in enumerate_cycles(n, s, symmetry=symmetry):
             rows = [c.coeffs for c in cfg.curves]
-            assert _canonical_key(rows) == _brute_force_key(rows), (n, s, rows)
+            squares = [intersect(c, c) for c in cfg.curves]
+            key = _canonical_key(rows, squares, _dihedral_orders(s))
+            assert key == _brute_force_key(rows), (n, s, rows)
 
 
 def test_raw_mode_covers_every_symmetry_class():
@@ -323,6 +354,18 @@ def test_raw_mode_covers_every_symmetry_class():
         assert {canonicalize_cycle(c) for c in _one_per_row_set(raw)} == set(
             enumerate_cycles(n, s, cap=6)
         )
+
+
+def test_canonicalize_cycle_keeps_no_memory():
+    cfg = fixture("oddih-160").cycle
+    tracemalloc.start()
+    try:
+        canonicalize_cycle(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a memo of the 320 curve orders of 160 indices would hold 0.4 MB
+    assert held < 50_000, held
 
 
 def _one_per_row_set(raw):
@@ -378,9 +421,10 @@ def _reference_symmetric_cycles(n, s):
         else:
             allowed = everything & ~pool.type_b if is_b[f] else everything
             extend([f], allowed & pool.square_at_least[sq[f]], everything)
+    orders = _dihedral_orders(s)
     canon = {}
     for seq in found:
-        key = _canonical_key([cand[i].coeffs for i in seq])
+        key = _canonical_key([cand[i].coeffs for i in seq], [sq[i] for i in seq], orders)
         canon.setdefault(key, CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None))
     return tuple(canon[k] for k in sorted(canon))
 
@@ -625,13 +669,20 @@ def test_rank_seven_counts():
     )
 
 
+def test_rank_eight_counts():
+    # confirmed by an orbit-stabilizer mass check against the raw tuple
+    # count; s = 6..8 are not confirmed yet
+    counts = [len(enumerate_cycles(8, s, cap=8)) for s in range(2, 6)]
+    assert counts == [52, 154, 638, 1842]
+
+
 def test_about_one_canonical_key_per_class(monkeypatch):
     calls = []
     key = oracle._canonical_key
 
-    def counted(rows):
+    def counted(rows, *args):
         calls.append(len(rows))
-        return key(rows)
+        return key(rows, *args)
 
     monkeypatch.setattr(oracle, "_canonical_key", counted)
     kept = sum(count for _, s, _, count in census(6, cap=6) if s >= 2)
