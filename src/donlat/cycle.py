@@ -218,9 +218,10 @@ def cycle_class(cfg: CycleConfig) -> CycleClass:
         NotNodalFormError: some coefficient of the sum is outside {0, -1}.
     """
     total = _class_sum(cfg.curves, cfg.n)
-    if any(a not in (0, -1) for a in total.coeffs):
+    _, support = is_nodal_cycle_class(total)
+    if support is None:
         raise NotNodalFormError(f"cycle class {list(total.coeffs)} has a coefficient outside {{0,-1}}")
-    return CycleClass(total, frozenset(k for k, a in enumerate(total.coeffs) if a == -1))
+    return CycleClass(total, support)
 
 
 class CycleVerdict(Enum):

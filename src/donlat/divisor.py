@@ -291,6 +291,20 @@ def total_class(cfg: MaximalDivisorConfig) -> TotalClass:
     return TotalClass(report.total, report.support)
 
 
+def _is_nodal(c: ClassVector, role: str) -> bool:
+    """False for a curve class, True for the nodal -e_I shape.
+
+    Raises:
+        NonCurveComponentError: c fits neither; `role` names it in the
+            message.
+    """
+    if isinstance(classify(c), (TypeA, TypeB)):
+        return False
+    if not is_nodal_cycle_class(c)[0]:
+        raise NonCurveComponentError(f"{role} {list(c.coeffs)} is neither a curve class nor -e_I")
+    return True
+
+
 def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
     """Arithmetic genus 1 + (K.D + D.D)/2 of a reduced divisor D.
 
@@ -309,16 +323,7 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
     n = curves[0].n
     adjunction = 0
     for c in curves:
-        kind = classify(c)
-        if isinstance(kind, (TypeA, TypeB)):
-            adjunction += -square(c) - 2
-        else:
-            nodal, _ = is_nodal_cycle_class(c)
-            if not nodal:
-                raise NonCurveComponentError(
-                    f"component {list(c.coeffs)} is neither a curve class nor -e_I"
-                )
-            adjunction += -square(c)
+        adjunction -= (0 if _is_nodal(c, "component") else 2) + square(c)
         if c.n != n:
             raise RankMismatchError(f"rank mismatch: {n} vs {c.n}")
     value = adjunction + square(_class_sum(curves, n))
@@ -445,16 +450,7 @@ def second_component_check(
                 f"candidate curve {idx} meets the divisor "
                 f"({intersect(vector, c)} points)"
             )
-        kind = classify(c)
-        if isinstance(kind, (TypeA, TypeB)):
-            nodal_flags.append(False)
-        else:
-            nodal, _ = is_nodal_cycle_class(c)
-            if not nodal:
-                raise NonCurveComponentError(
-                    f"candidate {list(c.coeffs)} is neither a curve class nor -e_I"
-                )
-            nodal_flags.append(True)
+        nodal_flags.append(_is_nodal(c, "candidate"))
 
     edges = _pairwise_graph(other)
     comps = _components(len(other), edges)

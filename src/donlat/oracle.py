@@ -77,19 +77,14 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
     """Every type A and type B class in rank n, sorted by coefficients."""
     if n < 1:
         raise IndexRangeError(f"rank must be positive, got {n}")
-    out = []
-    for head in range(n):
-        others = [j for j in range(n) if j != head]
-        for r in range(len(others) + 1):
-            for tail in combinations(others, r):
-                for lead in (1, -2):
-                    coeffs = [0] * n
-                    coeffs[head] = lead
-                    for j in tail:
-                        coeffs[j] = -1
-                    out.append(ClassVector(tuple(coeffs)))
-    out.sort(key=lambda c: c.coeffs)
-    return tuple(out)
+    # each class is its lead, 1 or -2, put at its head into a row of 0s and -1s
+    rows = sorted(
+        rest[:h] + (lead,) + rest[h:]
+        for rest in product((-1, 0), repeat=n - 1)
+        for h in range(n)
+        for lead in (1, -2)
+    )
+    return tuple(map(ClassVector, rows))
 
 
 class _Pool(NamedTuple):
@@ -140,14 +135,16 @@ def _pool(n: int) -> _Pool:
 
     For a fixed class i, the classes j sharing (h', l') and the bit
     [h_i in T_j] share the first three terms, c say, so they pair 0, 1
-    or 2 with i exactly when |T_i & T_j| is c, c - 1 or c - 2.  A
-    bit-sliced counter holds |T_i & T_j| for every j at once: for each
-    label k in T_i it adds the bitset of the classes with -1 at k into
-    a few planes of bits (bit b of the count in plane b; the count is
-    at most |T_i| <= n - 1).  One equality mask over the planes per
-    count then serves every group.  No pairing exceeds 2: if h = h',
-    neither head lies in the other tail and a.b = -l l' - |T & T'|,
-    with l l' in {1, -2, 4}; otherwise a.b <= l + l' and l, l' <= 1.
+    or 2 with i exactly when |T_i & T_j| is c, c - 1 or c - 2.  No
+    pairing exceeds 2, and no c does either: if h = h', neither head
+    lies in the other tail and a.b = c - |T & T'| with c = -l l' and
+    l l' in {1, -2, 4}; otherwise c = l [h in T'] + l' [h' in T] <=
+    2 as l, l' <= 1.  So only the counts 0, 1 and 2 decide a pairing,
+    and three saturating masks hold |T_i & T_j| for every j at once:
+    for each label k in T_i, the classes with -1 at k move up from
+    `at_least[v - 1]` into `at_least[v]`, v = 3, 2, 1.  The three masks
+    of exact counts 0, 1 and 2 then serve every group.  The formula
+    gives c = 3 only for h = h' with h in T', a group with no members.
 
     Cells of basis labels are masks over the n - 1 gaps between
     neighbouring labels, bit k - 1 standing for the gap between labels
@@ -180,27 +177,19 @@ def _pool(n: int) -> _Pool:
     apart, meets_once, meets_twice = [], [], []
     for row, h, T in zip(rows, heads, tails):
         l = row[h]
-        planes: list[int] = []
+        # at_least[v]: the classes j with |T & T_j| >= v, saturating at 3
+        at_least = [everything, 0, 0, 0]
         for k in _bits(T):
-            carry = minus[k]
-            for b, plane in enumerate(planes):
-                planes[b] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-        # equal[v]: the classes j with |T & T_j| = v
-        equal = []
-        for v in range(T.bit_count() + 1):
-            mask = everything
-            for b, plane in enumerate(planes):
-                mask &= plane if v >> b & 1 else ~plane
-            equal.append(mask)
+            for v in (3, 2, 1):
+                at_least[v] |= at_least[v - 1] & minus[k]
+        equal = [at_least[v] & ~at_least[v + 1] for v in range(3)]
         hits = [0, 0, 0]
         for (h2, l2), members in groups.items():
             base = -l * l2 * (h == h2) + l2 * (T >> h2 & 1)
             for part, c in ((members & ~minus[h], base), (members & minus[h], base + l)):
                 for p in range(3):
-                    if 0 <= c - p < len(equal):
+                    # c <= 2 but on the empty part h = h2 with h in T_j
+                    if 0 <= c - p <= 2:
                         hits[p] |= part & equal[c - p]
         apart.append(hits[0])
         meets_once.append(hits[1])
@@ -349,22 +338,13 @@ def enumerate_cycles(
         raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
 
     if s == 1:
+        # the -e_I classes in sorted order: every nonzero row of 0s and
+        # -1s, or with symmetry on one per support size
         if symmetry:
-            supports: Iterable[Sequence[int]] = [list(range(r)) for r in range(1, n + 1)]
+            nodal = [(-1,) * r + (0,) * (n - r) for r in range(n, 0, -1)]
         else:
-            supports = [
-                list(sub)
-                for r in range(1, n + 1)
-                for sub in combinations(range(n), r)
-            ]
-        configs = []
-        for I in supports:
-            coeffs = [0] * n
-            for j in I:
-                coeffs[j] = -1
-            configs.append(CycleConfig(n, (ClassVector(tuple(coeffs)),), None))
-        configs.sort(key=lambda c: c.curves[0].coeffs)
-        return tuple(configs)
+            nodal = list(product((-1, 0), repeat=n))[:-1]
+        return tuple(CycleConfig(n, (ClassVector(row),), None) for row in nodal)
 
     pool = _pool(n)
     cand, meets_once, apart, sq = pool.classes, pool.meets_once, pool.apart, pool.squares

@@ -68,6 +68,13 @@ def test_candidate_pool():
     assert len(set(pool)) == len(pool)
     with pytest.raises(IndexRangeError):
         candidate_curve_classes(0)
+    # every curve class has its coefficients in {-2, -1, 0, 1}
+    for n in range(1, 7):
+        box = (ClassVector(c) for c in product((-2, -1, 0, 1), repeat=n))
+        curves = sorted(
+            (v for v in box if isinstance(classify(v), (TypeA, TypeB))), key=lambda v: v.coeffs
+        )
+        assert candidate_curve_classes(n) == tuple(curves), n
 
 
 def test_pool_tables_match_intersect_and_classify():
@@ -106,9 +113,9 @@ def test_pool_bitsets_match_the_pairing_table():
 
 
 def test_pool_bitsets_match_intersect_at_ranks_seven_and_eight():
-    # the bit-sliced counter of the closed form needs three planes from
-    # n = 5 on and reaches |T_i & T_j| = 7 at n = 8, for the longest
-    # tails; every j against those rows and rows i at a fixed stride
+    # the closed form counts |T_i & T_j| in masks that saturate at 3,
+    # and the longest tails are where counts pass 2 and saturate; every
+    # j against those rows and rows i at a fixed stride
     for n, stride in ((7, 9), (8, 37)):
         pool = _pool(n)
         cand = pool.classes
@@ -304,8 +311,9 @@ def _reference_raw_cycles(n, s):
 
 def test_raw_mode_matches_the_list_based_search_in_order():
     cases = [(n, s) for n in range(1, 5) for s in range(1, n + 1)] + [(5, 3)]
+    cases += [(n, 1) for n in range(5, 9)]
     for n, s in cases:
-        got = [cfg.curves for cfg in enumerate_cycles(n, s, symmetry=False)]
+        got = [cfg.curves for cfg in enumerate_cycles(n, s, symmetry=False, cap=8)]
         assert got == _reference_raw_cycles(n, s), (n, s)
 
 
@@ -431,9 +439,9 @@ def _reference_symmetric_cycles(n, s):
 
 def test_orderly_search_matches_the_search_without_cells():
     cases = [(n, s) for n in range(1, 6) for s in range(1, n + 1)]
-    cases += [(6, s) for s in range(1, 7)]
+    cases += [(6, s) for s in range(1, 7)] + [(7, 1), (8, 1)]
     for n, s in cases:
-        assert enumerate_cycles(n, s, cap=6) == _reference_symmetric_cycles(n, s), (n, s)
+        assert enumerate_cycles(n, s, cap=8) == _reference_symmetric_cycles(n, s), (n, s)
 
 
 @given(SelfIntLists, st.integers(0, 3), st.booleans())
