@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .curveclass import NonCurve, TypeA, TypeB, classify, is_nodal_cycle_class
 from .errors import (
@@ -250,12 +250,18 @@ def betti_check(cfg: CycleConfig) -> BettiResult:
     """
     total = _class_sum(cfg.curves, cfg.n)
     value = cfg.s - intersect(total, total)
+    return BettiResult(_verdict(value, cfg.n, lambda: cfg.s == 1 or _is_partition(cfg)), value)
+
+
+def _verdict(value: int, n: int, partition: Callable[[], bool]) -> CycleVerdict:
+    """The verdict on s - C.C = value at rank n; `partition` runs only
+    when value == n and tells whether the tails partition the labels."""
     # value == n and value == 2n cannot both hold (n >= 1), so order is free
-    if value == cfg.n and (cfg.s == 1 or _is_partition(cfg)):
-        return BettiResult(CycleVerdict.PARTITION_CASE, value)
-    if value == 2 * cfg.n:
-        return BettiResult(CycleVerdict.ODD_IH, value)
-    return BettiResult(CycleVerdict.INADMISSIBLE, value)
+    if value == n and partition():
+        return CycleVerdict.PARTITION_CASE
+    if value == 2 * n:
+        return CycleVerdict.ODD_IH
+    return CycleVerdict.INADMISSIBLE
 
 
 def _is_partition(cfg: CycleConfig) -> bool:

@@ -21,10 +21,11 @@ them interactive.  The `verify_*` sweeps take no cap.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -32,11 +33,11 @@ from .curveclass import (
     CurveKind,
     TypeA,
     TypeB,
+    _defect,
     _kind,
     classify,
-    genus_defect,
 )
-from .cycle import CycleConfig, CycleVerdict, betti_check
+from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector
 
@@ -303,11 +304,10 @@ def enumerate_cycles(
     permutations, so the square prunes compose with the rule.  What is
     left is a few labellings per class, which the canonical key merges.
 
-    Both modes run one search.  It yields each prefix of s - 1 pool
-    indices once, with the bitset of the classes that close it into a
-    cycle; the raw result lists the closing classes of each prefix from
-    the lowest index up, and the symmetric dedup visits them in the
-    same order.
+    Both modes run one search, `_cycle_prefixes`; the raw result lists
+    the closing classes of each prefix from the lowest index up, and
+    the symmetric dedup, `_canonical_classes`, visits them in the same
+    order.
 
     The search has no one-type-B rule: the pairings already leave at
     most one type B class per cycle, at every node of the search.  Two
@@ -331,12 +331,7 @@ def enumerate_cycles(
         CapExceededError: n or s exceeds the configured cap.
         IndexRangeError: n or s below 1.
     """
-    limit = effective_cap(cap)
-    if n < 1 or s < 1:
-        raise IndexRangeError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
-    if n > limit or s > limit:
-        raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
-
+    _within_cap(n, s, cap)
     if s == 1:
         # the -e_I classes in sorted order: every nonzero row of 0s and
         # -1s, or with symmetry on one per support size
@@ -347,62 +342,10 @@ def enumerate_cycles(
         return tuple(CycleConfig(n, (ClassVector(row),), None) for row in nodal)
 
     pool = _pool(n)
-    cand, meets_once, apart, sq = pool.classes, pool.meets_once, pool.apart, pool.squares
-    m = len(cand)
-    everything = (1 << m) - 1
-    if symmetry:
-        cuts, fits = pool.cuts, pool.fits
-    else:
-        # every label cell then stays whole and admits every class,
-        # so every class is a root
-        cuts, fits = (0,) * m, (everything,)
-
-    def found() -> Iterable[tuple[tuple[int, ...], int]]:
-        # each prefix of s - 1 classes once, with the bitset of the
-        # classes that close it into a cycle
-        if s == 2:
-            for f in _bits(fits[0]):
-                yield (f,), pool.meets_twice[f] & fits[cuts[f]]
-            return
-
-        def extend(
-            seq: list[int], free: int, cells: int
-        ) -> Iterable[tuple[tuple[int, ...], int]]:
-            # free: the classes meeting none of the interior curves, and
-            # with symmetry on none with a square below the root's;
-            # cells: the gaps between labels some placed curve tells apart
-            root, last = seq[0], seq[-1]
-            nxt = meets_once[last] & free & fits[cells]
-            if len(seq) > 1:
-                nxt &= apart[root]
-                free &= apart[last]
-            if len(seq) < s - 2:
-                for j in _bits(nxt):
-                    seq.append(j)
-                    yield from extend(seq, free, cells | cuts[j])
-                    seq.pop()
-                return
-            # each seq + [j] is a prefix of s - 1 classes, closed by the
-            # classes meeting both j and the root
-            close = meets_once[root] & free
-            for j in _bits(nxt):
-                closing = meets_once[j] & close & fits[cells | cuts[j]]
-                if symmetry:
-                    # the reflected path closes with the larger of the
-                    # two squares next to the root and finds it anyway
-                    closing &= pool.square_at_least[sq[seq[1] if len(seq) > 1 else j]]
-                if closing:
-                    yield (*seq, j), closing
-
-        for f in _bits(fits[0]):
-            # the canonical rotation starts at a minimal square, so some
-            # sibling root finds any class with a smaller one
-            free = pool.square_at_least[sq[f]] if symmetry else everything
-            yield from extend([f], free, cuts[f])
-
+    cand = pool.classes
     if not symmetry:
         def ordered() -> Iterable[CycleConfig]:
-            for prefix, closing in found():
+            for prefix, closing in _cycle_prefixes(pool, s, symmetry=False):
                 head = tuple(cand[i] for i in prefix)
                 for j in _bits(closing):
                     yield CycleConfig(n, (*head, cand[j]), None)
@@ -411,18 +354,85 @@ def enumerate_cycles(
 
     # a canonical row is a pool row with its labels permuted, and the
     # pool is closed under label permutations: reuse its classes
-    rows = [c.coeffs for c in cand]
-    by_row = dict(zip(rows, cand)).__getitem__
+    by_row = dict(zip((c.coeffs for c in cand), cand)).__getitem__
+    canon = _canonical_classes(pool, s)
+    return tuple(CycleConfig(n, tuple(map(by_row, key[1])), None) for key in sorted(canon))
+
+
+def _within_cap(n: int, s: int, cap: int | None) -> None:
+    """Raise unless 1 <= n, s <= the cap (see `effective_cap`)."""
+    limit = effective_cap(cap)
+    if n < 1 or s < 1:
+        raise IndexRangeError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
+    if n > limit or s > limit:
+        raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
+
+
+def _cycle_prefixes(pool: _Pool, s: int, symmetry: bool) -> Iterable[tuple[tuple[int, ...], int]]:
+    """The search of `enumerate_cycles` for s >= 2: each prefix of s - 1
+    pool indices once, with the bitset of the classes that close it
+    into a cycle."""
+    meets_once, apart, sq = pool.meets_once, pool.apart, pool.squares
+    everything = (1 << len(sq)) - 1
+    if symmetry:
+        cuts, fits = pool.cuts, pool.fits
+    else:
+        # every label cell then stays whole and admits every class,
+        # so every class is a root
+        cuts, fits = (0,) * len(sq), (everything,)
+    if s == 2:
+        for f in _bits(fits[0]):
+            yield (f,), pool.meets_twice[f] & fits[cuts[f]]
+        return
+
+    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple[tuple[int, ...], int]]:
+        # free: the classes meeting none of the interior curves, and
+        # with symmetry on none with a square below the root's;
+        # cells: the gaps between labels some placed curve tells apart
+        root, last = seq[0], seq[-1]
+        nxt = meets_once[last] & free & fits[cells]
+        if len(seq) > 1:
+            nxt &= apart[root]
+            free &= apart[last]
+        if len(seq) < s - 2:
+            for j in _bits(nxt):
+                seq.append(j)
+                yield from extend(seq, free, cells | cuts[j])
+                seq.pop()
+            return
+        # each seq + [j] is a prefix of s - 1 classes, closed by the
+        # classes meeting both j and the root
+        close = meets_once[root] & free
+        for j in _bits(nxt):
+            closing = meets_once[j] & close & fits[cells | cuts[j]]
+            if symmetry:
+                # the reflected path closes with the larger of the
+                # two squares next to the root and finds it anyway
+                closing &= pool.square_at_least[sq[seq[1] if len(seq) > 1 else j]]
+            if closing:
+                yield (*seq, j), closing
+
+    for f in _bits(fits[0]):
+        # the canonical rotation starts at a minimal square, so some
+        # sibling root finds any class with a smaller one
+        free = pool.square_at_least[sq[f]] if symmetry else everything
+        yield from extend([f], free, cuts[f])
+
+
+def _canonical_classes(pool: _Pool, s: int) -> dict[tuple, tuple[int, ...]]:
+    """The classes of cycles of s >= 2 curves: {canonical key: pool
+    indices of the first cycle the symmetric search meets in it}."""
+    rows, sq = [c.coeffs for c in pool.classes], pool.squares
     orders = _dihedral_orders(s)
-    canon: dict[tuple, CycleConfig] = {}
-    for prefix, closing in found():
+    canon: dict[tuple, tuple[int, ...]] = {}
+    for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
         head = tuple(rows[i] for i in prefix)
         head_sq = tuple(sq[i] for i in prefix)
         for j in _bits(closing):
             key = _canonical_key((*head, rows[j]), (*head_sq, sq[j]), orders)
             if key not in canon:
-                canon[key] = CycleConfig(n, tuple(map(by_row, key[1])), None)
-    return tuple(canon[k] for k in sorted(canon))
+                canon[key] = (*prefix, j)
+    return canon
 
 
 def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict, int], ...]:
@@ -431,21 +441,57 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     Rows are (n, s, verdict, count) with zero-count combinations
     omitted; the output is deterministic across runs.
 
+    The classes are those of `enumerate_cycles`, and each verdict is
+    the one `betti_check` gives, read off the canonical key and the
+    pool data of the first cycle met in the class; no CycleConfig is
+    built.  For s >= 2 the pairings of a cycle D_0, ..., D_(s-1) are
+    fixed: at s >= 3 the s neighbour pairs meet once and all other
+    pairs are apart, at s = 2 the one pair meets twice.  Either way
+    C.C = sum_i D_i.D_i + 2 sum_(i<j) D_i.D_j = sum_i D_i.D_i + 2s, so
+
+        s - C.C = -s - sum_i D_i.D_i,
+
+    and the squares are the key's first entry.  When that value is n,
+    the cycle is the partition case if no curve is type B (no index in
+    `type_b`) and the tails partition the n labels: their sizes sum to
+    n and their union is every label.  Rotation, reflection and label
+    permutation keep the kinds, the tail sizes and whether the tails
+    cover the labels, so any cycle of the class decides it.  For s = 1
+    the classes are -e_I with |I| = r for r = n, ..., 1 (see
+    `enumerate_cycles`); C.C = -r gives the value 1 + r, and the
+    partition test does not apply.
+
     Raises:
         CapExceededError: n exceeds the configured cap.
         IndexRangeError: n below 1.
     """
     if n < 1:
         raise IndexRangeError(f"rank must be positive, got {n}")
+    # a cap error names s = 1, the table's first row
+    _within_cap(n, 1, cap)
+    labels = (1 << n) - 1
     rows = []
     for s in range(1, n + 1):
-        counts: dict[CycleVerdict, int] = {}
-        for cfg in enumerate_cycles(n, s, symmetry=True, cap=cap):
-            verdict, _ = betti_check(cfg)
-            counts[verdict] = counts.get(verdict, 0) + 1
-        for verdict in CycleVerdict:
-            if counts.get(verdict):
-                rows.append((n, s, verdict, counts[verdict]))
+        if s == 1:
+            verdicts = [_verdict(1 + r, n, lambda: True) for r in range(n, 0, -1)]
+        else:
+            pool = _pool(n)
+            tails, type_b = pool.tails, pool.type_b
+
+            def partition(cycle: tuple[int, ...]) -> bool:
+                picked = [tails[i] for i in cycle]
+                return (
+                    not any(type_b >> i & 1 for i in cycle)
+                    and sum(t.bit_count() for t in picked) == n
+                    and reduce(or_, picked) == labels
+                )
+
+            verdicts = [
+                _verdict(-s - sum(key[0]), n, lambda: partition(cycle))
+                for key, cycle in _canonical_classes(pool, s).items()
+            ]
+        counts = Counter(verdicts)
+        rows += [(n, s, verdict, counts[verdict]) for verdict in CycleVerdict if counts[verdict]]
     return tuple(rows)
 
 
@@ -476,21 +522,24 @@ def verify_rational_pattern(
     A vector is arithmetically a rational curve class iff its genus
     defect vanishes and exactly one coefficient falls outside {0, -1};
     the classifier must agree on every vector.  Passing a deliberately
-    broken classifier demonstrates that the sweep catches it.
+    broken classifier demonstrates that the sweep catches it.  The
+    default classifier, `classify`, reads the plain coefficient tuples;
+    another classifier gets a `ClassVector` per point.  Witnesses are
+    `ClassVector`s either way.
 
     Raises:
         IndexRangeError: n below 1 or coeff_bound below 0.
     """
     if n < 1 or coeff_bound < 0:
         raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n} and {coeff_bound}")
+    kind = _kind if classifier is classify else lambda coeffs: classifier(ClassVector(coeffs))
     witnesses = []
     for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        v = ClassVector(coeffs)
-        structural = isinstance(classifier(v), (TypeA, TypeB))
+        structural = isinstance(kind(coeffs), (TypeA, TypeB))
         outside = n - coeffs.count(0) - coeffs.count(-1)
-        arithmetic = outside == 1 and genus_defect(v) == 0
+        arithmetic = outside == 1 and _defect(coeffs) == 0
         if structural != arithmetic:
-            witnesses.append(v)
+            witnesses.append(ClassVector(coeffs))
     return SweepReport(not witnesses, tuple(witnesses))
 
 

@@ -488,6 +488,45 @@ def test_census_tables():
     )
 
 
+def _reference_census(n):
+    """The census from `betti_check` on every enumerated class."""
+    rows = []
+    for s in range(1, n + 1):
+        verdicts = [betti_check(cfg).verdict for cfg in enumerate_cycles(n, s, cap=7)]
+        rows += [(n, s, v, verdicts.count(v)) for v in CycleVerdict if v in verdicts]
+    return tuple(rows)
+
+
+def test_census_matches_betti_check_on_every_class():
+    for n in range(1, 8):
+        assert census(n, cap=7) == _reference_census(n), n
+
+
+def test_census_value_is_minus_s_minus_the_squares():
+    # the value census reads off a canonical key, s >= 2
+    cases = [(n, s, True) for n in range(2, 7) for s in range(2, n + 1)]
+    cases += [(n, s, False) for n in range(2, 5) for s in range(2, n + 1)]
+    for n, s, symmetry in cases:
+        cycles = enumerate_cycles(n, s, symmetry=symmetry, cap=6)
+        assert cycles, (n, s, symmetry)
+        for cfg in cycles:
+            squares = sum(intersect(c, c) for c in cfg.curves)
+            assert betti_check(cfg).value == -s - squares, cfg
+
+
+def test_census_builds_no_cycle_config(monkeypatch):
+    built = []
+    init = CycleConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(CycleConfig, "__post_init__", counted)
+    assert sum(count for _, _, _, count in census(6, cap=6)) == 743
+    assert built == []
+
+
 def test_caps():
     with pytest.raises(CapExceededError):
         enumerate_cycles(6, 2)
@@ -527,9 +566,18 @@ def test_rational_pattern_rejects_bad_rank_and_bound():
 
 
 def test_rational_pattern_catches_a_broken_classifier():
-    report = verify_rational_pattern(2, 2, classifier=lambda x: NonCurve(0))
+    seen = []
+
+    def broken(x):
+        seen.append(type(x))
+        return NonCurve(0)
+
+    report = verify_rational_pattern(2, 2, classifier=broken)
     assert not report.ok
     assert report.witnesses
+    # a custom classifier gets ClassVectors, and so does the report
+    assert set(seen) == {ClassVector}
+    assert all(type(w) is ClassVector for w in report.witnesses)
 
 
 def test_chain_dichotomy_sweep():
