@@ -6,12 +6,14 @@ chains and coefficient boxes are swept in full so the structural claims
 made elsewhere in the package can be checked rather than trusted.
 
 With symmetry on, the cycle search is an orderly generation (Read
-1978, "Every one a winner"): it keeps basis labels that no placed
-curve tells apart in a fixed order, so it meets each class in about
-one labelling.  With no curve placed every label is interchangeable,
-so the same rule picks the roots, one per basis-permutation orbit.
-The canonical-key dedup after it stays as the safety net and picks
-the representative returned.
+1978, "Every one a winner"; McKay 1998, "Isomorph-free exhaustive
+generation"): it keeps basis labels that no placed curve tells apart
+in a fixed order, so it meets each class in a few labellings.  With
+no curve placed every label is interchangeable, so the same rule picks
+the roots, one per basis-permutation orbit.  Of the labellings met,
+exactly one is its class's canonical form under a fixed column order,
+and only that one is accepted (`_canonical_classes`), so each class is
+counted once with no table of the classes seen.
 
 `enumerate_cycles` and `census` cap the rank (default 5, override via
 the DONLAT_CAP environment variable or an explicit argument) to keep
@@ -100,6 +102,7 @@ class _Pool(NamedTuple):
     square_at_least: Mapping[int, int]
     cuts: tuple[int, ...]
     fits: tuple[int, ...]
+    ranked: tuple[tuple[int, ...], ...]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -152,7 +155,9 @@ def _pool(n: int) -> _Pool:
     k - 1 and k.  `cuts[i]` holds the gaps where class i's coefficient
     changes.  `fits[P]`, for each such mask P, holds the classes whose
     coefficients run lead, then -1s, then 0s inside every cell that P
-    splits the labels into (see `enumerate_cycles`).
+    splits the labels into (see `enumerate_cycles`).  `ranked[i]` is
+    class i's row with each coefficient replaced by its place in the
+    order V: -2 < 1 < -1 < 0 (see `_canonical_classes`).
 
     Each table has one entry per class, but each pairing bitset has a
     bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
@@ -197,13 +202,13 @@ def _pool(n: int) -> _Pool:
         meets_twice.append(hits[2])
     gaps = range(1, n)
     cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
+    place = {-2: 0, 1: 1, -1: 2, 0: 3}
+    ranked = tuple(tuple(map(place.__getitem__, row)) for row in rows)
     # a class fits P when every gap where its coefficients step back in
-    # the order lead, -1, 0 is in P: first file each class under the
-    # gaps it needs, then OR each mask's entry into its supersets
-    place = {-1: 1, 0: 2}
+    # V is in P: first file each class under the gaps it needs, then OR
+    # each mask's entry into its supersets
     fits = [0] * (1 << (n - 1))
-    for i, row in enumerate(rows):
-        rank = [place.get(a, 0) for a in row]
+    for i, rank in enumerate(ranked):
         fits[_mask(k - 1 for k in gaps if rank[k] < rank[k - 1])] |= 1 << i
     for k in range(n - 1):
         bit = 1 << k
@@ -224,6 +229,7 @@ def _pool(n: int) -> _Pool:
         ),
         cuts,
         tuple(fits),
+        ranked,
     )
 
 
@@ -267,7 +273,7 @@ def _canonical_key(
 
 def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     """Canonical representative of a cycle under rotation, reflection and
-    basis-index permutation; the dedup key used by enumerate_cycles."""
+    basis-index permutation; the form enumerate_cycles returns."""
     rows = tuple(c.coeffs for c in cfg.curves)
     squares = tuple(-sum(map(mul, row, row)) for row in rows)
     _, mat = _canonical_key(rows, squares, _dihedral_orders(len(rows)))
@@ -302,12 +308,14 @@ def enumerate_cycles(
     classes of its shape and tail size, so these are one root per
     orbit.  Pairings, kinds and squares do not change under the
     permutations, so the square prunes compose with the rule.  What is
-    left is a few labellings per class, which the canonical key merges.
+    left is a few labellings per class, and `_canonical_classes` keeps
+    the one that is its class's canonical form under the column order
+    V; the representative returned is `canonicalize_cycle`'s, computed
+    once per class.
 
     Both modes run one search, `_cycle_prefixes`; the raw result lists
     the closing classes of each prefix from the lowest index up, and
-    the symmetric dedup, `_canonical_classes`, visits them in the same
-    order.
+    `_canonical_classes` visits them in the same order.
 
     The search has no one-type-B rule: the pairings already leave at
     most one type B class per cycle, at every node of the search.  Two
@@ -355,8 +363,12 @@ def enumerate_cycles(
     # a canonical row is a pool row with its labels permuted, and the
     # pool is closed under label permutations: reuse its classes
     by_row = dict(zip((c.coeffs for c in cand), cand)).__getitem__
-    canon = _canonical_classes(pool, s)
-    return tuple(CycleConfig(n, tuple(map(by_row, key[1])), None) for key in sorted(canon))
+    rows, sq, orders = [c.coeffs for c in cand], pool.squares, _dihedral_orders(s)
+    keys = sorted(
+        _canonical_key([rows[i] for i in cycle], [sq[i] for i in cycle], orders)
+        for cycle in _canonical_classes(pool, s)
+    )
+    return tuple(CycleConfig(n, tuple(map(by_row, key[1])), None) for key in keys)
 
 
 def _within_cap(n: int, s: int, cap: int | None) -> None:
@@ -419,20 +431,58 @@ def _cycle_prefixes(pool: _Pool, s: int, symmetry: bool) -> Iterable[tuple[tuple
         yield from extend([f], free, cuts[f])
 
 
-def _canonical_classes(pool: _Pool, s: int) -> dict[tuple, tuple[int, ...]]:
-    """The classes of cycles of s >= 2 curves: {canonical key: pool
-    indices of the first cycle the symmetric search meets in it}."""
-    rows, sq = [c.coeffs for c in pool.classes], pool.squares
-    orders = _dihedral_orders(s)
-    canon: dict[tuple, tuple[int, ...]] = {}
+def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
+    """The classes of cycles of s >= 2 curves, each exactly once: the
+    pool indices of the one cycle the symmetric search meets in each
+    class that is its own canonical form under V.
+
+    V orders coefficients -2 < 1 < -1 < 0, and matrices are compared
+    row by row, each row from the left.  The V-canonical form of a
+    cycle is its least (squares, matrix) over the dihedral orders of
+    its curves and the permutations of its labels.  As in
+    `_canonical_key`, the squares come first, and for a fixed curve
+    order the best label permutation sorts the columns under V
+    (columns compared from the top); `pool.ranked` holds the rows with
+    every coefficient replaced by its place in V.
+
+    Every cycle the search finds already has its columns sorted under
+    V.  Two neighbouring labels share a cell until the first row where
+    their columns differ, and in that row the cell rule (see
+    `enumerate_cycles`) puts the lower label's coefficient first in the
+    order lead, -1, 0.  A row has one lead, so that order agrees with V
+    on it.
+
+    Conversely, the V-canonical form D_0, ..., D_(s-1) of a class
+    passes every rule of the search:
+      - its columns are sorted, so each row keeps the cell rule; the
+        root's row runs lead, -1s, 0s over all labels, `fits[0]`;
+      - its squares are the least over the dihedral orders, so D_0's
+        square is a least one, the root's prune;
+      - they are no greater than those of the reflection D_0, D_(s-1),
+        ..., D_1, so D_1.D_1 <= D_(s-1).D_(s-1), the closing prune;
+      - it is a cycle, and pairings, kinds and squares are all the
+        other rules read.
+    The search lists each sequence of pool indices at most once, so it
+    meets the canonical form of each class exactly once.  A found cycle
+    is that form when no other dihedral order beats it: none has
+    smaller squares, and none with the same squares has column-sorted
+    rows smaller than the found rows, which need no sort.  The test
+    stops at the first order that beats it.
+    """
+    ranked, sq = pool.ranked, pool.squares
+    others = _dihedral_orders(s)[1:]
     for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
-        head = tuple(rows[i] for i in prefix)
         head_sq = tuple(sq[i] for i in prefix)
+        head = tuple(ranked[i] for i in prefix)
         for j in _bits(closing):
-            key = _canonical_key((*head, rows[j]), (*head_sq, sq[j]), orders)
-            if key not in canon:
-                canon[key] = (*prefix, j)
-    return canon
+            squares, rows = (*head_sq, sq[j]), (*head, ranked[j])
+            squares2, rows2 = squares * 2, rows * 2
+            if all(
+                squares2[o] > squares
+                or squares2[o] == squares and tuple(zip(*sorted(zip(*rows2[o])))) >= rows
+                for o in others
+            ):
+                yield (*prefix, j)
 
 
 def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict, int], ...]:
@@ -442,24 +492,32 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     omitted; the output is deterministic across runs.
 
     The classes are those of `enumerate_cycles`, and each verdict is
-    the one `betti_check` gives, read off the canonical key and the
-    pool data of the first cycle met in the class; no CycleConfig is
-    built.  For s >= 2 the pairings of a cycle D_0, ..., D_(s-1) are
-    fixed: at s >= 3 the s neighbour pairs meet once and all other
-    pairs are apart, at s = 2 the one pair meets twice.  Either way
+    the one `betti_check` gives, read off the pool data of the cycle
+    `_canonical_classes` accepts in the class, as the search streams
+    them; no CycleConfig and no canonical key is built.  For s >= 2 the
+    pairings of a cycle D_0, ..., D_(s-1) are fixed: at s >= 3 the s
+    neighbour pairs meet once and all other pairs are apart, at s = 2
+    the one pair meets twice.  Either way
     C.C = sum_i D_i.D_i + 2 sum_(i<j) D_i.D_j = sum_i D_i.D_i + 2s, so
 
-        s - C.C = -s - sum_i D_i.D_i,
+        s - C.C = -s - sum_i D_i.D_i.
 
-    and the squares are the key's first entry.  When that value is n,
-    the cycle is the partition case if no curve is type B (no index in
-    `type_b`) and the tails partition the n labels: their sizes sum to
-    n and their union is every label.  Rotation, reflection and label
-    permutation keep the kinds, the tail sizes and whether the tails
-    cover the labels, so any cycle of the class decides it.  For s = 1
-    the classes are -e_I with |I| = r for r = n, ..., 1 (see
-    `enumerate_cycles`); C.C = -r gives the value 1 + r, and the
-    partition test does not apply.
+    When that value is n, the cycle is the partition case if no curve
+    is type B (no index in `type_b`) and the tails partition the n
+    labels.  The test reads only that the tails cover every label:
+    their sizes already sum to n.  A type A square is -1 - |T| and a
+    type B square is -4 - |T|, so
+
+        s - C.C = sum_i |T_i| + 3 (number of type B curves),
+
+    which is sum_i |T_i| when no curve is type B.  Tails whose sizes
+    sum to n and which cover the n labels are disjoint.  (`betti_check`
+    tests disjointness itself, since it also takes cycles that were
+    never validated.)  Rotation, reflection and label permutation keep
+    the kinds and whether the tails cover the labels, so any cycle of
+    the class decides it.  For s = 1 the classes are -e_I with |I| = r
+    for r = n, ..., 1 (see `enumerate_cycles`); C.C = -r gives the
+    value 1 + r, and the partition test does not apply.
 
     Raises:
         CapExceededError: n exceeds the configured cap.
@@ -476,20 +534,17 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
             verdicts = [_verdict(1 + r, n, lambda: True) for r in range(n, 0, -1)]
         else:
             pool = _pool(n)
-            tails, type_b = pool.tails, pool.type_b
+            tails, type_b, sq = pool.tails, pool.type_b, pool.squares
 
             def partition(cycle: tuple[int, ...]) -> bool:
-                picked = [tails[i] for i in cycle]
-                return (
-                    not any(type_b >> i & 1 for i in cycle)
-                    and sum(t.bit_count() for t in picked) == n
-                    and reduce(or_, picked) == labels
+                return not any(type_b >> i & 1 for i in cycle) and (
+                    reduce(or_, (tails[i] for i in cycle)) == labels
                 )
 
-            verdicts = [
-                _verdict(-s - sum(key[0]), n, lambda: partition(cycle))
-                for key, cycle in _canonical_classes(pool, s).items()
-            ]
+            verdicts = (
+                _verdict(-s - sum(sq[i] for i in cycle), n, lambda: partition(cycle))
+                for cycle in _canonical_classes(pool, s)
+            )
         counts = Counter(verdicts)
         rows += [(n, s, verdict, counts[verdict]) for verdict in CycleVerdict if counts[verdict]]
     return tuple(rows)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb, factorial, gcd, prod
 from operator import add
 
 import pytest
@@ -39,7 +41,14 @@ from donlat import (
     zero,
 )
 from donlat import oracle
-from donlat.oracle import _bits, _canonical_key, _dihedral_orders, _pool, _type_a_chains
+from donlat.oracle import (
+    _bits,
+    _canonical_key,
+    _cycle_prefixes,
+    _dihedral_orders,
+    _pool,
+    _type_a_chains,
+)
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -252,7 +261,7 @@ def test_rank_three_triangles_in_detail():
 
 
 def test_symmetric_cycles_reuse_the_pool_classes():
-    # the dedup maps each canonical row back to the pool's own object
+    # enumerate_cycles maps each canonical row back to the pool's own object
     for n in range(2, 7):
         for s in range(2, n + 1):
             cycles = enumerate_cycles(n, s, cap=6)
@@ -503,7 +512,7 @@ def test_census_matches_betti_check_on_every_class():
 
 
 def test_census_value_is_minus_s_minus_the_squares():
-    # the value census reads off a canonical key, s >= 2
+    # the value census reads off the squares of an accepted cycle, s >= 2
     cases = [(n, s, True) for n in range(2, 7) for s in range(2, n + 1)]
     cases += [(n, s, False) for n in range(2, 5) for s in range(2, n + 1)]
     for n, s, symmetry in cases:
@@ -748,3 +757,83 @@ def test_about_one_canonical_key_per_class(monkeypatch):
         calls.clear()
         kept = len(enumerate_cycles(7, s, cap=7))
         assert len(calls) <= 2 * kept, (s, len(calls), kept)
+
+
+def test_census_builds_no_key_and_enumeration_one_per_class(monkeypatch):
+    calls = []
+    key = oracle._canonical_key
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return key(rows, *args)
+
+    monkeypatch.setattr(oracle, "_canonical_key", counted)
+    census(6, cap=6)
+    assert calls == []
+    for s in range(2, 8):
+        calls.clear()
+        kept = len(enumerate_cycles(7, s, cap=7))
+        assert len(calls) == kept, (s, len(calls), kept)
+
+
+def test_found_cycles_have_columns_sorted_under_v():
+    # the premise of `_canonical_classes`: with V = -2 < 1 < -1 < 0,
+    # every cycle the symmetric search finds has its columns in order
+    place = {-2: 0, 1: 1, -1: 2, 0: 3}
+    for n in range(2, 8):
+        pool = _pool(n)
+        ranked = tuple(tuple(place[a] for a in c.coeffs) for c in pool.classes)
+        assert pool.ranked == ranked
+        for s in range(2, n + 1):
+            for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
+                for j in _bits(closing):
+                    columns = list(zip(*(ranked[i] for i in (*prefix, j))))
+                    assert columns == sorted(columns), (n, s, prefix, j)
+
+
+def _stabilizer_order(rows, orders):
+    """How many (label permutation, dihedral order) pairs fix the ordered
+    cycle with these rows: for each order giving the same multiset of
+    columns, the product of (multiplicity of each column)!."""
+    columns = Counter(zip(*rows))
+    twice = tuple(rows) * 2
+    fixing = prod(map(factorial, columns.values()))
+    return sum(fixing for o in orders if Counter(zip(*twice[o])) == columns)
+
+
+def test_orbit_stabilizer_mass_matches_the_raw_count():
+    # each class is one orbit of S_n x D_s on the ordered cycles the raw
+    # mode lists, so a lost class or a doubled one breaks the sum
+    cases = [(n, s) for n in range(1, 6) for s in range(1, n + 1)] + [(6, 2), (6, 3)]
+    for n, s in cases:
+        orders = _dihedral_orders(s)
+        group = factorial(n) * len(orders)
+        mass = 0
+        for cfg in enumerate_cycles(n, s, cap=6):
+            orbit, rest = divmod(group, _stabilizer_order([c.coeffs for c in cfg.curves], orders))
+            assert rest == 0, cfg
+            mass += orbit
+        assert mass == len(enumerate_cycles(n, s, symmetry=False, cap=6)), (n, s)
+
+
+def _necklaces(n, s):
+    """Binary necklaces of length n with s ones (Gilbert and Riordan
+    1961): (1/n) sum over d | gcd(n, s) of phi(d) C(n/d, s/d)."""
+    g = gcd(n, s)
+    phi = [sum(gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(g + 1)]
+    return sum(phi[d] * comb(n // d, s // d) for d in range(1, g + 1) if g % d == 0) // n
+
+
+def test_census_columns_match_closed_forms():
+    # observed up to n = 8, not proven: the partition-case count is the
+    # binary necklace count below s = n and 1 at s = n, and OddIH
+    # occurs only at s = n
+    for n in range(1, 9):
+        rows = census(n, cap=8)
+        partition = {s: c for _, s, v, c in rows if v is CycleVerdict.PARTITION_CASE}
+        assert [partition.get(s, 0) for s in range(1, n)] == [
+            _necklaces(n, s) for s in range(1, n)
+        ], n
+        if n >= 2:
+            assert partition[n] == 1, n
+        assert {s for _, s, v, _ in rows if v is CycleVerdict.ODD_IH} == {n}, n
