@@ -37,6 +37,7 @@ from .curveclass import (
     TypeB,
     _defect,
     _kind,
+    _lead,
     classify,
 )
 from .cycle import CycleConfig, CycleVerdict, _verdict
@@ -580,7 +581,9 @@ def verify_rational_pattern(
     broken classifier demonstrates that the sweep catches it.  The
     default classifier, `classify`, reads the plain coefficient tuples;
     another classifier gets a `ClassVector` per point.  Witnesses are
-    `ClassVector`s either way.
+    `ClassVector`s either way.  Unlike the other sweeps this one does
+    not read the shape with the cheaper `_lead`: the classifier is what
+    it checks, so it runs on every vector of the box.
 
     Raises:
         IndexRangeError: n below 1 or coeff_bound below 0.
@@ -606,7 +609,9 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     classes may also fuse to type B; that is how the -2-head of a
     triangle of -3 curves arises.)  This is what `compose_chain` returns
     on such a pair; the sweep reads the pairing and the operand kinds
-    from the pool and classifies the coefficient sum itself.  For pairs
+    from the pool and reads the shape of the coefficient sum with
+    `_lead`, which builds no kind object.  Only a witness classifies
+    its sum, so it carries the sum's `CurveKind`.  For pairs
     of two type B classes the pairing must never be positive, so no two
     of them are neighbours in a cycle (`enumerate_cycles` shows from
     this why no cycle holds two at all); the maximum found is
@@ -640,9 +645,12 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
             if a_is_b and b_is_b:
                 witnesses.append((cand[i], cand[j], 2 if pool.meets_twice[i] >> j & 1 else 1))
                 continue
-            merged = _kind(tuple(map(add, a, rows[j])))
-            if not isinstance(merged, TypeB if a_is_b or b_is_b else (TypeA, TypeB)):
-                witnesses.append((cand[i], cand[j], merged))
+            row_sum = tuple(map(add, a, rows[j]))
+            lead = _lead(row_sum)
+            # a type B operand forces the type B shape; two type A
+            # operands may sum to either shape
+            if (lead != -2) if a_is_b or b_is_b else (lead == 0):
+                witnesses.append((cand[i], cand[j], _kind(row_sum)))
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
@@ -687,7 +695,8 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
            disjoint.
 
     The two must agree on every chain; chains where they hold are
-    collected in `positives`.  Orientation (see _type_a_chains) is
+    collected in `positives`.  (i) reads each sum's shape with `_lead`,
+    which builds no kind object.  Orientation (see _type_a_chains) is
     essential: an unorientable chain can satisfy (i) while its end
     tails share the middle curve's head on top of the type B index,
     breaking (ii).
@@ -738,8 +747,8 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
         # sum, and that sum less either end curve
         rows = [pool_rows[i] for i in chain]
         total = tuple(map(sum, zip(*rows)))
-        cond_i = isinstance(_kind(total), TypeB) and all(
-            isinstance(_kind(tuple(map(sub, total, end))), TypeA) for end in (rows[0], rows[-1])
+        cond_i = _lead(total) == -2 and all(
+            _lead(tuple(map(sub, total, end))) == 1 for end in (rows[0], rows[-1])
         )
 
         # (ii) on the tail bitsets

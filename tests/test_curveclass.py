@@ -29,6 +29,7 @@ from donlat import (
     kind_to_json,
     reconstruct,
 )
+from donlat.curveclass import _lead
 
 Ranks = st.integers(min_value=1, max_value=6)
 
@@ -66,7 +67,8 @@ def test_classify_basic_shapes():
 
 def _reference_classify(x):
     """The two-pass classify: collect the coefficients outside {0, -1},
-    then read the tail in a second scan."""
+    then read the tail in a second scan.  The defect is summed per
+    coefficient."""
     special = [(k, a) for k, a in enumerate(x.coeffs) if a not in (0, -1)]
     if len(special) == 1:
         k, a = special[0]
@@ -75,7 +77,7 @@ def _reference_classify(x):
             return TypeA(k, tail)
         if a == -2:
             return TypeB(k, tail)
-    return NonCurve(genus_defect(x))
+    return NonCurve(2 - sum(a * a + a for a in x.coeffs))
 
 
 def test_classify_matches_the_two_pass_reference_on_the_box():
@@ -83,6 +85,13 @@ def test_classify_matches_the_two_pass_reference_on_the_box():
         for coeffs in product(range(-3, 4), repeat=n):
             x = ClassVector(coeffs)
             assert classify(x) == _reference_classify(x), coeffs
+
+
+def test_lead_matches_the_classified_shape_on_the_box():
+    lead_of = {TypeA: 1, TypeB: -2, NonCurve: 0}
+    for n in range(1, 6):
+        for coeffs in product(range(-3, 4), repeat=n):
+            assert _lead(coeffs) == lead_of[type(classify(ClassVector(coeffs)))], coeffs
 
 
 # mostly zeros and curve coefficients, with some far outside the box

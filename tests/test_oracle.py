@@ -562,7 +562,7 @@ def test_cap_environment_override(monkeypatch):
 
 
 def test_rational_pattern_sweep():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         report = verify_rational_pattern(n, 3)
         assert report.ok and report.witnesses == ()
 
@@ -638,13 +638,29 @@ def test_compose_chain_matches_the_sweeps_row_sum_kind():
             if isinstance(classify(cand[i]), TypeB) and isinstance(classify(cand[j]), TypeB):
                 continue
             row_sum = tuple(map(add, cand[i].coeffs, cand[j].coeffs))
-            assert compose_chain(cand[i], cand[j]) == oracle._kind(row_sum), (n, i, j)
+            kind = compose_chain(cand[i], cand[j])
+            assert kind == oracle._kind(row_sum), (n, i, j)
+            assert oracle._lead(row_sum) == {TypeA: 1, TypeB: -2}[type(kind)], (n, i, j)
+
+
+def test_sweeps_catch_a_broken_shape_test(monkeypatch):
+    lead = oracle._lead
+    # calls every type B shape type A
+    monkeypatch.setattr(oracle, "_lead", lambda coeffs: 1 if lead(coeffs) == -2 else lead(coeffs))
+    report = verify_chain_dichotomy(3)
+    assert not report.ok and report.witnesses
+    # the witnesses still carry the sum's kind, from the classifier
+    for a, b, merged in report.witnesses:
+        assert type(merged) is TypeB and merged == classify(a + b), (a, b)
+    report = verify_internonvide(4, 3)
+    assert not report.ok and report.witnesses
 
 
 def test_internonvide_sweep():
     positives = {}
-    # at n = 6 only the shortest and the longest chains; j = 3..5 take seconds
-    cases = [(n, j) for n in range(2, 6) for j in range(2, n + 1)] + [(6, 2), (6, 6)]
+    # at n = 6 only j = 2, 3 and 6; j = 4 and 5 take about a second each
+    # and run in CI's larger-rank sweeps
+    cases = [(n, j) for n in range(2, 6) for j in range(2, n + 1)] + [(6, 2), (6, 3), (6, 6)]
     for n, j in cases:
         report = verify_internonvide(n, j)
         assert report.ok and report.witnesses == (), (n, j)
@@ -662,6 +678,7 @@ def test_internonvide_sweep():
         (5, 4): 120,
         (5, 5): 0,
         (6, 2): 3240,
+        (6, 3): 5760,
         (6, 6): 0,
     }
     with pytest.raises(IndexRangeError):
