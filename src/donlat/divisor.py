@@ -393,13 +393,12 @@ def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozense
             "a tree needs exactly one fewer"
         )
     total = _class_sum(curves, curves[0].n)
-    ones = [k for k, a in enumerate(total.coeffs) if a == 1]
-    if len(ones) != 1 or any(a not in (-1, 0, 1) for a in total.coeffs):
+    kind = classify(total)
+    if not isinstance(kind, TypeA):
         raise NotLemmaFormError(
             f"sum {list(total.coeffs)} is not of the e_k - e_K shape"
         )
-    k = ones[0]
-    return k, frozenset(j for j, a in enumerate(total.coeffs) if a == -1)
+    return kind.head, kind.tail
 
 
 class SecondComponentVerdict(Enum):

@@ -7,13 +7,14 @@ made elsewhere in the package can be checked rather than trusted.
 
 With symmetry on, the cycle search is an orderly generation (Read
 1978, "Every one a winner"; McKay 1998, "Isomorph-free exhaustive
-generation"): it keeps basis labels that no placed curve tells apart
-in a fixed order, so it meets each class in a few labellings.  With
-no curve placed every label is interchangeable, so the same rule picks
-the roots, one per basis-permutation orbit.  Of the labellings met,
-exactly one is its class's canonical form under a fixed column order,
-and only that one is accepted (`_canonical_classes`), so each class is
-counted once with no table of the classes seen.
+generation"): on basis labels that no placed curve tells apart, each
+next curve's coefficients must not decrease, so the search meets each
+class in a few labellings.  With no curve placed every label is
+interchangeable, so the same rule picks the roots, one per
+basis-permutation orbit.  Of the labellings met, exactly one is its
+class's canonical form, the one `canonicalize_cycle` returns, and only
+that one is accepted (`_canonical_classes`), so each class is counted
+once with no table of the classes seen and returned as it was found.
 
 `enumerate_cycles` and `census` cap the rank (default 5, override via
 the DONLAT_CAP environment variable or an explicit argument) to keep
@@ -103,7 +104,7 @@ class _Pool(NamedTuple):
     square_at_least: Mapping[int, int]
     cuts: tuple[int, ...]
     fits: tuple[int, ...]
-    ranked: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -155,10 +156,9 @@ def _pool(n: int) -> _Pool:
     neighbouring labels, bit k - 1 standing for the gap between labels
     k - 1 and k.  `cuts[i]` holds the gaps where class i's coefficient
     changes.  `fits[P]`, for each such mask P, holds the classes whose
-    coefficients run lead, then -1s, then 0s inside every cell that P
-    splits the labels into (see `enumerate_cycles`).  `ranked[i]` is
-    class i's row with each coefficient replaced by its place in the
-    order V: -2 < 1 < -1 < 0 (see `_canonical_classes`).
+    coefficients never decrease inside any cell that P splits the
+    labels into (see `enumerate_cycles`).  `rows[i]` is class i's
+    coefficient tuple.
 
     Each table has one entry per class, but each pairing bitset has a
     bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
@@ -169,7 +169,7 @@ def _pool(n: int) -> _Pool:
     quadruples the memory.
     """
     cand = candidate_curve_classes(n)
-    rows = [c.coeffs for c in cand]
+    rows = tuple(c.coeffs for c in cand)
     # every row has its lead, 1 or -2, at the head and -1 on the tail
     heads = tuple(next(k for k, a in enumerate(row) if a not in (0, -1)) for row in rows)
     tails = tuple(_mask(k for k, a in enumerate(row) if a == -1) for row in rows)
@@ -203,14 +203,12 @@ def _pool(n: int) -> _Pool:
         meets_twice.append(hits[2])
     gaps = range(1, n)
     cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
-    place = {-2: 0, 1: 1, -1: 2, 0: 3}
-    ranked = tuple(tuple(map(place.__getitem__, row)) for row in rows)
-    # a class fits P when every gap where its coefficients step back in
-    # V is in P: first file each class under the gaps it needs, then OR
+    # a class fits P when every gap where its coefficients step down
+    # is in P: first file each class under the gaps it needs, then OR
     # each mask's entry into its supersets
     fits = [0] * (1 << (n - 1))
-    for i, rank in enumerate(ranked):
-        fits[_mask(k - 1 for k in gaps if rank[k] < rank[k - 1])] |= 1 << i
+    for i, row in enumerate(rows):
+        fits[_mask(k - 1 for k in gaps if row[k] < row[k - 1])] |= 1 << i
     for k in range(n - 1):
         bit = 1 << k
         for P in range(len(fits)):
@@ -230,7 +228,7 @@ def _pool(n: int) -> _Pool:
         ),
         cuts,
         tuple(fits),
-        ranked,
+        rows,
     )
 
 
@@ -298,21 +296,23 @@ def enumerate_cycles(
     coefficient columns agree over all of them are interchangeable.
     Such labels form runs of consecutive labels ("cells"), and each
     placed curve splits the runs where its coefficients change.  A next
-    curve is kept only if inside every cell its coefficients run lead,
-    then -1s, then 0s.  This loses no class: permuting the labels
-    inside the cells fixes every placed curve and moves any next curve
-    into that form, and applied to the rest of the sequence too it gives
-    a sequence of the same class that keeps the rule one step further.
-    The root is no exception: with no curve placed all labels form one
-    cell, so the rule keeps the classes with head 0 and tail {1, ...,
-    t} (`fits[0]`).  A basis permutation maps a class to exactly the
+    curve is kept only if its coefficients never decrease inside any
+    cell.  This loses no class: permuting the labels inside the cells
+    fixes every placed curve and sorts any next curve that way, and
+    applied to the rest of the sequence too it gives a sequence of the
+    same class that keeps the rule one step further.  The root is no
+    exception: with no curve placed all labels form one cell, so the
+    rule keeps the type B classes with head 0 and tail {1, ..., t} and
+    the type A classes with tail {0, ..., t - 1} and head n - 1
+    (`fits[0]`).  A basis permutation maps a class to exactly the
     classes of its shape and tail size, so these are one root per
     orbit.  Pairings, kinds and squares do not change under the
     permutations, so the square prunes compose with the rule.  What is
     left is a few labellings per class, and `_canonical_classes` keeps
-    the one that is its class's canonical form under the column order
-    V; the representative returned is `canonicalize_cycle`'s, computed
-    once per class.
+    the one that is its class's canonical form.  That form is
+    `canonicalize_cycle`'s representative, so it is returned as found;
+    pool indices follow the order of the rows, so the classes sort by
+    their squares, then their indices.
 
     Both modes run one search, `_cycle_prefixes`; the raw result lists
     the closing classes of each prefix from the lowest index up, and
@@ -361,15 +361,11 @@ def enumerate_cycles(
 
         return tuple(ordered())
 
-    # a canonical row is a pool row with its labels permuted, and the
-    # pool is closed under label permutations: reuse its classes
-    by_row = dict(zip((c.coeffs for c in cand), cand)).__getitem__
-    rows, sq, orders = [c.coeffs for c in cand], pool.squares, _dihedral_orders(s)
-    keys = sorted(
-        _canonical_key([rows[i] for i in cycle], [sq[i] for i in cycle], orders)
-        for cycle in _canonical_classes(pool, s)
-    )
-    return tuple(CycleConfig(n, tuple(map(by_row, key[1])), None) for key in keys)
+    # each accepted cycle is its own canonical key, and pool indices
+    # follow the row order, so (squares, indices) sorts as the keys do
+    sq = pool.squares
+    cycles = sorted(_canonical_classes(pool, s), key=lambda c: (tuple(sq[i] for i in c), c))
+    return tuple(CycleConfig(n, tuple(cand[i] for i in c), None) for c in cycles)
 
 
 def _within_cap(n: int, s: int, cap: int | None) -> None:
@@ -435,28 +431,26 @@ def _cycle_prefixes(pool: _Pool, s: int, symmetry: bool) -> Iterable[tuple[tuple
 def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     """The classes of cycles of s >= 2 curves, each exactly once: the
     pool indices of the one cycle the symmetric search meets in each
-    class that is its own canonical form under V.
+    class that is its own canonical form.
 
-    V orders coefficients -2 < 1 < -1 < 0, and matrices are compared
-    row by row, each row from the left.  The V-canonical form of a
-    cycle is its least (squares, matrix) over the dihedral orders of
-    its curves and the permutations of its labels.  As in
-    `_canonical_key`, the squares come first, and for a fixed curve
-    order the best label permutation sorts the columns under V
-    (columns compared from the top); `pool.ranked` holds the rows with
-    every coefficient replaced by its place in V.
+    The canonical form of a cycle is its `_canonical_key`: its least
+    (squares, matrix) over the dihedral orders of its curves and the
+    permutations of its labels, matrices compared row by row, each row
+    from the left.  The squares come first, and for a fixed curve
+    order the best label permutation sorts the columns (compared from
+    the top).
 
-    Every cycle the search finds already has its columns sorted under
-    V.  Two neighbouring labels share a cell until the first row where
-    their columns differ, and in that row the cell rule (see
-    `enumerate_cycles`) puts the lower label's coefficient first in the
-    order lead, -1, 0.  A row has one lead, so that order agrees with V
-    on it.
+    Every cycle the search finds already has its columns sorted.  Two
+    neighbouring labels share a cell until the first row where their
+    columns differ, and in that row the cell rule (see
+    `enumerate_cycles`) puts the smaller coefficient at the lower
+    label.
 
-    Conversely, the V-canonical form D_0, ..., D_(s-1) of a class
-    passes every rule of the search:
-      - its columns are sorted, so each row keeps the cell rule; the
-        root's row runs lead, -1s, 0s over all labels, `fits[0]`;
+    Conversely, the canonical form D_0, ..., D_(s-1) of a class passes
+    every rule of the search:
+      - its columns are sorted, so inside each cell of the labels that
+        the rows above agree on, a row never decreases: the cell rule;
+        the root's row never decreases over all labels, `fits[0]`;
       - its squares are the least over the dihedral orders, so D_0's
         square is a least one, the root's prune;
       - they are no greater than those of the reflection D_0, D_(s-1),
@@ -468,15 +462,16 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     is that form when no other dihedral order beats it: none has
     smaller squares, and none with the same squares has column-sorted
     rows smaller than the found rows, which need no sort.  The test
-    stops at the first order that beats it.
+    stops at the first order that beats it.  So an accepted cycle's
+    squares and rows are its canonical key.
     """
-    ranked, sq = pool.ranked, pool.squares
+    pool_rows, sq = pool.rows, pool.squares
     others = _dihedral_orders(s)[1:]
     for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
         head_sq = tuple(sq[i] for i in prefix)
-        head = tuple(ranked[i] for i in prefix)
+        head = tuple(pool_rows[i] for i in prefix)
         for j in _bits(closing):
-            squares, rows = (*head_sq, sq[j]), (*head, ranked[j])
+            squares, rows = (*head_sq, sq[j]), (*head, pool_rows[j])
             squares2, rows2 = squares * 2, rows * 2
             if all(
                 squares2[o] > squares
@@ -494,8 +489,9 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
 
     The classes are those of `enumerate_cycles`, and each verdict is
     the one `betti_check` gives, read off the pool data of the cycle
-    `_canonical_classes` accepts in the class, as the search streams
-    them; no CycleConfig and no canonical key is built.  For s >= 2 the
+    `_canonical_classes` accepts in the class (the canonical
+    representative `enumerate_cycles` returns), as the search streams
+    them; no CycleConfig is built.  For s >= 2 the
     pairings of a cycle D_0, ..., D_(s-1) are fixed: at s >= 3 the s
     neighbour pairs meet once and all other pairs are apart, at s = 2
     the one pair meets twice.  Either way
@@ -622,8 +618,7 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     only at n = 1, which has no type B pair.
     """
     pool = _pool(n)
-    cand, type_b = pool.classes, pool.type_b
-    rows = [c.coeffs for c in cand]
+    cand, type_b, rows = pool.classes, pool.type_b, pool.rows
     witnesses = []
     max_bb: int | None = None
     for i, a in enumerate(rows):
@@ -736,8 +731,7 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
-    cand = pool.classes
-    pool_rows = [c.coeffs for c in cand]
+    cand, pool_rows = pool.classes, pool.rows
     # (ii) compares the tails of every two curves but the two ends
     pairs = [(p, q) for p, q in combinations(range(j), 2) if (p, q) != (0, j - 1)]
     witnesses = []
