@@ -75,13 +75,17 @@ class CycleReport:
         return tuple(v.code for v in self.violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleConfig:
     """Ordered cycle data: rank, curve classes, optional head numbering.
 
     `alphas` records the strictly increasing head indices of a
     canonically numbered partition-case cycle; it is None whenever no
     such numbering applies.
+
+    Instances are slotted (no `__dict__`) and keep the `curves` and
+    `alphas` tuples they are given; any other sequence, a tuple
+    subclass included, is converted to a tuple.
     """
 
     n: int
@@ -89,8 +93,9 @@ class CycleConfig:
     alphas: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "curves", tuple(self.curves))
-        if self.alphas is not None:
+        if type(self.curves) is not tuple:
+            object.__setattr__(self, "curves", tuple(self.curves))
+        if self.alphas is not None and type(self.alphas) is not tuple:
             object.__setattr__(self, "alphas", tuple(self.alphas))
 
     @property

@@ -353,19 +353,22 @@ def enumerate_cycles(
     pool = _pool(n)
     cand = pool.classes
     if not symmetry:
-        def ordered() -> Iterable[CycleConfig]:
-            for prefix, closing in _cycle_prefixes(pool, s, symmetry=False):
-                head = tuple(cand[i] for i in prefix)
-                for j in _bits(closing):
-                    yield CycleConfig(n, (*head, cand[j]), None)
-
-        return tuple(ordered())
+        # one comprehension over the search: each prefix's classes are
+        # looked up once, then each closing class is appended to them
+        return tuple(
+            [
+                CycleConfig(n, (*head, cand[j]), None)
+                for prefix, closing in _cycle_prefixes(pool, s, symmetry=False)
+                for head in (tuple(map(cand.__getitem__, prefix)),)
+                for j in _bits(closing)
+            ]
+        )
 
     # each accepted cycle is its own canonical key, and pool indices
     # follow the row order, so (squares, indices) sorts as the keys do
     sq = pool.squares
     cycles = sorted(_canonical_classes(pool, s), key=lambda c: (tuple(sq[i] for i in c), c))
-    return tuple(CycleConfig(n, tuple(cand[i] for i in c), None) for c in cycles)
+    return tuple(CycleConfig(n, tuple(map(cand.__getitem__, c)), None) for c in cycles)
 
 
 def _within_cap(n: int, s: int, cap: int | None) -> None:

@@ -17,6 +17,7 @@ from donlat import (
     MaximalDivisorConfig,
     TreeConfig,
     divisor_graph,
+    enumerate_cycles,
     fixture,
     to_dot,
 )
@@ -199,6 +200,20 @@ def test_enumerate_json_round_trips(monkeypatch, capsys):
     assert code == 0
     configs = [CycleConfig.from_json(c) for c in json.loads(out)]
     assert len(configs) == 4
+
+
+def test_enumerate_no_symmetry_prints_every_ordered_tuple(monkeypatch, capsys):
+    argv = ["enumerate", "--n", "4", "--s", "3", "--no-symmetry"]
+    raw = enumerate_cycles(4, 3, symmetry=False)
+    code, out, err = run(monkeypatch, capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    assert len(raw) == 1728
+    assert out == json.dumps([cfg.to_json() for cfg in raw]) + "\n"
+    code, out, err = run(monkeypatch, capsys, argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "n\ts\tnotation\tverdict"
+    assert len(lines) == 1 + 1728
 
 
 def test_smooth_triangle(monkeypatch, capsys):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,6 +203,30 @@ def test_cycle_json_round_trip():
     assert CycleConfig.from_json(cfg.to_json()) == cfg
     bare = CycleConfig(2, (ClassVector((0, -1)),))
     assert CycleConfig.from_json(bare.to_json()) == bare
+
+
+def test_cycle_config_value_semantics():
+    rows = [ClassVector((0, -1)), ClassVector((-1, 0))]
+    built = CycleConfig(2, list(rows), [0, 1])
+    twin = CycleConfig(2, tuple(rows), (0, 1))
+    assert type(built.curves) is tuple and type(built.alphas) is tuple
+    assert built == twin and hash(built) == hash(twin)
+
+    class Row(tuple):
+        pass
+
+    assert type(CycleConfig(2, Row(rows), Row((0, 1))).curves) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.n = 3
+    assert repr(built) == (
+        "CycleConfig(n=2, curves=(ClassVector(coeffs=(0, -1)), "
+        "ClassVector(coeffs=(-1, 0))), alphas=(0, 1))"
+    )
+    assert dataclasses.replace(built, alphas=None) == CycleConfig(2, tuple(rows), None)
+    assert copy.deepcopy(built) == built
+    assert pickle.loads(pickle.dumps(built)) == built
+    # slotted: the fields are the whole instance
+    assert not hasattr(built, "__dict__")
 
 
 def test_cycle_json_rejects_bad_payloads():

@@ -356,6 +356,20 @@ def test_canonical_key_matches_a_brute_force_search():
             assert key == _brute_force_key(rows), (n, s, rows)
 
 
+# sha256 of the JSON list of raw enumerate_cycles(n, s): the order of
+# the ordered tuples, which the class checks below cannot see
+RAW_DIGESTS = {
+    (4, 3): "3ca7ef6e15c98467716315b760313371dc5c8cd36859ffd1e3bb57d39f460812",
+    (5, 4): "dc31dd03d89ce9b66be6db590c82b94bb446bfd7b4e6264db59d7656dcfb1cd2",
+    (5, 5): "6a1d19568bc186701d03f44913690dbc25aa1aff4497f1eacaadba6caacf52fc",
+    (6, 3): "7c14099db56bdab10fae1dbfa200485d6d001bb171bfd54d24e809d1541fb56a",
+}
+
+
+def _raw_digest(raw):
+    return hashlib.sha256(json.dumps([c.to_json() for c in raw]).encode()).hexdigest()
+
+
 def test_raw_mode_covers_every_symmetry_class():
     for n, s, raw_count in (
         (2, 2, 14),
@@ -368,9 +382,12 @@ def test_raw_mode_covers_every_symmetry_class():
         raw = enumerate_cycles(n, s, symmetry=False)
         assert len(raw) == raw_count
         assert {canonicalize_cycle(c) for c in raw} == set(enumerate_cycles(n, s))
+        if (n, s) in RAW_DIGESTS:
+            assert _raw_digest(raw) == RAW_DIGESTS[n, s]
     for n, s, raw_count in ((5, 4, 49200), (5, 5, 70680), (6, 3, 92160)):
         raw = enumerate_cycles(n, s, symmetry=False, cap=6)
         assert len(raw) == raw_count
+        assert _raw_digest(raw) == RAW_DIGESTS[n, s]
         assert {canonicalize_cycle(c) for c in _one_per_row_set(raw)} == set(
             enumerate_cycles(n, s, cap=6)
         )
