@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -23,12 +24,16 @@ from donlat import (
     basis,
     betti_check,
     canonical_numbering,
+    canonicalize_cycle,
     cycle_class,
     cycle_notation,
+    enumerate_cycles,
+    fixture,
     from_selfintersections,
     intersection_matrix,
     odd_ih_cycle,
     selfintersections,
+    smooth_node,
     validate_cycle,
     zero,
 )
@@ -227,6 +232,51 @@ def test_cycle_config_value_semantics():
     assert pickle.loads(pickle.dumps(built)) == built
     # slotted: the fields are the whole instance
     assert not hasattr(built, "__dict__")
+
+    # the constructor's public shape
+    rows = tuple(rows)
+    params = inspect.signature(CycleConfig).parameters
+    assert list(params) == ["n", "curves", "alphas"]
+    empty = inspect.Parameter.empty
+    assert [p.default for p in params.values()] == [empty, empty, None]
+    cfg = CycleConfig(curves=rows, n=2)
+    assert cfg.alphas is None and cfg == CycleConfig(2, rows, None)
+    # any iterable becomes a tuple; an exact tuple is kept as given
+    assert CycleConfig(2, (r for r in rows)).curves == rows
+    assert cfg.curves is rows
+    heads = (0, 1)
+    assert CycleConfig(2, rows, heads).alphas is heads
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del cfg.n
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.curves = rows[:1]
+    fields = dataclasses.fields(CycleConfig)
+    assert [f.name for f in fields] == ["n", "curves", "alphas"]
+    assert [f.default for f in fields] == [dataclasses.MISSING] * 2 + [None]
+    assert CycleConfig.__match_args__ == ("n", "curves", "alphas")
+    copied = copy.copy(cfg)
+    assert copied == cfg and copied.curves is cfg.curves
+
+
+def test_every_cycle_builder_returns_exact_tuples():
+    kato = from_selfintersections((5, 3))
+    built = [
+        kato,
+        CycleConfig.from_json(kato.to_json()),
+        odd_ih_cycle(5),
+        canonical_numbering(kato),
+        canonicalize_cycle(kato),
+        smooth_node(from_selfintersections((4, 3, 2)), 0)[0],
+    ]
+    built += [fixture(name).cycle for name in ("ex333", "ih522342", "kato522332", "oddih-4")]
+    for n in range(1, 5):
+        for s in range(1, n + 1):
+            for symmetry in (True, False):
+                built += enumerate_cycles(n, s, symmetry=symmetry)
+    for cfg in built:
+        assert type(cfg.curves) is tuple, cfg
+        assert cfg.alphas is None or type(cfg.alphas) is tuple, cfg
+        assert cfg == CycleConfig(cfg.n, list(cfg.curves), cfg.alphas), cfg
 
 
 def test_cycle_json_rejects_bad_payloads():

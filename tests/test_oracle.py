@@ -545,13 +545,17 @@ def test_census_value_is_minus_s_minus_the_squares():
 
 def test_census_builds_no_cycle_config(monkeypatch):
     built = []
-    init = CycleConfig.__post_init__
+    init = CycleConfig.__init__
 
-    def counted(self):
-        built.append(self)
-        init(self)
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(CycleConfig, "__post_init__", counted)
+    monkeypatch.setattr(CycleConfig, "__init__", counted)
+    # the hook sees every construction: one config, then none in census
+    CycleConfig(1, (ClassVector((-1,)),))
+    assert len(built) == 1
+    built.clear()
     assert sum(count for _, _, _, count in census(6, cap=6)) == 743
     assert built == []
 
