@@ -391,10 +391,9 @@ def canonical_numbering(cfg: CycleConfig) -> CycleConfig:
     canonical head numbering alpha_0 = 0 < alpha_1 < ...
 
     The rotation puts the lexicographically smallest self-intersection
-    sequence first (ties resolved by the earliest rotation); the output
-    curves are exactly those of `from_selfintersections` on the rotated
-    sequence, so the pairwise intersection matrix is preserved and the
-    map is idempotent.
+    sequence first; the output curves are exactly those of
+    `from_selfintersections` on the rotated sequence, so the pairwise
+    intersection matrix is preserved and the map is idempotent.
 
     Raises:
         NotPartitionCaseError: betti_check does not report PartitionCase.
@@ -409,6 +408,5 @@ def canonical_numbering(cfg: CycleConfig) -> CycleConfig:
     sq = selfintersections(cfg)
     s = cfg.s
     rotations = [tuple(sq[(r + i) % s] for i in range(s)) for r in range(s)]
-    best = min(range(s), key=lambda r: rotations[r])
-    ks = tuple(-v for v in rotations[best])
+    ks = tuple(-v for v in min(rotations))
     return from_selfintersections(ks)

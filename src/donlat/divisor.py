@@ -1,9 +1,9 @@
 """Maximal divisors: a cycle of rational curves plus attached chains.
 
 A maximal divisor D = C + A consists of a cycle C and a finite set of
-trees A.  In this shape every tree is a chain of type A curves whose
-first curve meets exactly one curve of the cycle exactly once, and
-distinct trees hang off distinct cycle curves.
+trees A.  In this shape every tree is a chain of one or more type A
+curves whose first curve meets exactly one curve of the cycle exactly
+once, and distinct trees hang off distinct cycle curves.
 
 Accepting a configuration replays the index bookkeeping that pins down
 the class of D: starting from the support I_C of the cycle class
@@ -171,6 +171,13 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
     s = cfg.cycle.s
     seen_attach: dict[int, int] = {}
     for t_idx, tree in enumerate(cfg.trees):
+        if not tree.chain:
+            bad.append(
+                Violation(
+                    "tree-empty",
+                    f"tree {t_idx} has an empty chain; a tree needs at least one curve",
+                )
+            )
         if not 0 <= tree.attach < s:
             bad.append(
                 Violation(
@@ -331,32 +338,28 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
     return 1 + value // 2
 
 
-def _pairwise_graph(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
-    """Edges {(i, j): intersection number} of the dual graph, i < j.
+def _dual_graph(curves: Sequence[ClassVector]) -> tuple[list[list[int]], int]:
+    """Connected components of the dual graph, each sorted, and its
+    number of meeting points (the pairings of distinct curves summed).
 
     Raises:
         NotTreeShapedError: some distinct pair meets negatively (the
-            classes cannot be distinct curves on one surface).
+            classes cannot be distinct curves on one surface); the first
+            such pair in sorted order is named.
     """
     edges = _pairings(curves)
+    near: list[list[int]] = [[] for _ in curves]
     for (i, j), got in sorted(edges.items()):
         if got < 0:
             raise NotTreeShapedError(
                 f"components {i} and {j} meet {got} times; "
                 "distinct curves never pair negatively"
             )
-    return edges
-
-
-def _components(m: int, edges: dict[tuple[int, int], int]) -> list[list[int]]:
-    """Connected components of the graph on range(m), each sorted."""
-    near: list[list[int]] = [[] for _ in range(m)]
-    for i, j in edges:
         near[i].append(j)
         near[j].append(i)
     seen: set[int] = set()
     out: list[list[int]] = []
-    for start in range(m):
+    for start in range(len(curves)):
         if start in seen:
             continue
         comp, stack = [], [start]
@@ -369,7 +372,7 @@ def _components(m: int, edges: dict[tuple[int, int], int]) -> list[list[int]]:
                     seen.add(w)
                     stack.append(w)
         out.append(sorted(comp))
-    return out
+    return out, sum(edges.values())
 
 
 def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozenset[int]]:
@@ -382,11 +385,10 @@ def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozense
     """
     if not curves:
         raise NotTreeShapedError("empty configuration")
-    edges = _pairwise_graph(curves)
+    comps, edge_load = _dual_graph(curves)
     m = len(curves)
-    if len(_components(m, edges)) != 1:
+    if len(comps) != 1:
         raise NotTreeShapedError("configuration is disconnected")
-    edge_load = sum(edges.values())
     if edge_load != m - 1:
         raise NotTreeShapedError(
             f"dual graph carries {edge_load} meeting points over {m} curves; "
@@ -451,11 +453,10 @@ def second_component_check(
             )
         nodal_flags.append(_is_nodal(c, "candidate"))
 
-    edges = _pairwise_graph(other)
-    comps = _components(len(other), edges)
+    comps, meetings = _dual_graph(other)
     # each connected component carries at least one meeting point fewer
     # than its curves, and exactly that many when it is a tree
-    has_cycle = any(nodal_flags) or sum(edges.values()) > len(other) - len(comps)
+    has_cycle = any(nodal_flags) or meetings > len(other) - len(comps)
     if has_cycle:
         notes = []
         conflict = bool(divisor.trees)

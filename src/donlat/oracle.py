@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import add, mul, or_, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .curveclass import (
     CurveKind,
@@ -244,38 +244,25 @@ def _dihedral_orders(s: int) -> tuple[slice, ...]:
     return (*rotations, *(slice(r + s, r, -1) for r in range(s)))
 
 
-def _canonical_key(
-    rows: Sequence[tuple[int, ...]],
-    squares: Sequence[int],
-    orders: Sequence[slice],
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Minimal (self-intersections, coefficient matrix) over the dihedral
-    action on curve order composed with all basis-index permutations.
-
-    `squares` holds the rows' self-intersections and `orders` is
-    `_dihedral_orders(len(rows))`.  For a fixed curve order the optimal
-    basis permutation just sorts the coefficient columns, so only the
-    2s dihedral orders need explicit trying.  The self-intersections
-    are compared first and do not depend on the columns, so columns
-    are sorted only for the orders whose sequence of squares is the
-    least.
-    """
-    rows, squares = tuple(rows) * 2, tuple(squares) * 2
-    by_order = [squares[o] for o in orders]
-    selfs = min(by_order)
-    return min(
-        (selfs, tuple(zip(*sorted(zip(*rows[o])))))
-        for o, order_selfs in zip(orders, by_order)
-        if order_selfs == selfs
-    )
-
-
 def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     """Canonical representative of a cycle under rotation, reflection and
-    basis-index permutation; the form enumerate_cycles returns."""
+    basis-index permutation; the form enumerate_cycles returns.
+
+    The canonical form is the least (self-intersections, coefficient
+    matrix) over the dihedral orders of the curves composed with all
+    basis-index permutations, matrices compared row by row.  For a
+    fixed curve order the optimal basis permutation just sorts the
+    coefficient columns, so only the 2s dihedral orders need explicit
+    trying.  The self-intersections are compared first and do not
+    depend on the columns, so columns are sorted only for the orders
+    whose sequence of squares is the least.
+    """
     rows = tuple(c.coeffs for c in cfg.curves)
-    squares = tuple(-sum(map(mul, row, row)) for row in rows)
-    _, mat = _canonical_key(rows, squares, _dihedral_orders(len(rows)))
+    orders = _dihedral_orders(len(rows))
+    squares = tuple(-sum(map(mul, row, row)) for row in rows) * 2
+    rows *= 2
+    least = min(squares[o] for o in orders)
+    mat = min(tuple(zip(*sorted(zip(*rows[o])))) for o in orders if squares[o] == least)
     return CycleConfig(cfg.n, tuple(ClassVector(row) for row in mat), None)
 
 
@@ -364,8 +351,9 @@ def enumerate_cycles(
             ]
         )
 
-    # each accepted cycle is its own canonical key, and pool indices
-    # follow the row order, so (squares, indices) sorts as the keys do
+    # each accepted cycle is its own canonical form, and pool indices
+    # follow the row order, so (squares, indices) sorts as (squares,
+    # rows) does
     sq = pool.squares
     cycles = sorted(_canonical_classes(pool, s), key=lambda c: (tuple(sq[i] for i in c), c))
     return tuple(CycleConfig(n, tuple(map(cand.__getitem__, c)), None) for c in cycles)
@@ -436,10 +424,10 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     pool indices of the one cycle the symmetric search meets in each
     class that is its own canonical form.
 
-    The canonical form of a cycle is its `_canonical_key`: its least
-    (squares, matrix) over the dihedral orders of its curves and the
-    permutations of its labels, matrices compared row by row, each row
-    from the left.  The squares come first, and for a fixed curve
+    The canonical form of a cycle is the one `canonicalize_cycle`
+    returns: its least (squares, matrix) over the dihedral orders of
+    its curves and the permutations of its labels, matrices compared
+    row by row, each row from the left.  The squares come first, and for a fixed curve
     order the best label permutation sorts the columns (compared from
     the top).
 
@@ -465,8 +453,8 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     is that form when no other dihedral order beats it: none has
     smaller squares, and none with the same squares has column-sorted
     rows smaller than the found rows, which need no sort.  The test
-    stops at the first order that beats it.  So an accepted cycle's
-    squares and rows are its canonical key.
+    stops at the first order that beats it.  So an accepted cycle is its
+    own canonical form.
     """
     pool_rows, sq = pool.rows, pool.squares
     others = _dihedral_orders(s)[1:]

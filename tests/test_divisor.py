@@ -110,6 +110,21 @@ def test_remaining_structural_rejections():
     assert "rank-mismatch" in codes((TreeConfig((basis(0, 3),), 0),))
 
 
+def test_empty_tree_is_rejected():
+    # from_json refuses a tree with an empty chain, so the validator must
+    # too, or a divisor it accepts could not be read back
+    bare = fixture("ex333")
+    empty = MaximalDivisorConfig(bare.cycle, (TreeConfig((), 0),))
+    assert validate_maximal_divisor(empty).codes() == ("tree-empty",)
+    with pytest.raises(SchemaError):
+        MaximalDivisorConfig.from_json(empty.to_json())
+    # nor may an empty tree turn a second cycle into a tree conflict
+    pair = (ClassVector((1, -1, 0)), ClassVector((-1, 1, 0)))
+    assert not second_component_check(bare, pair).tree_conflict
+    with pytest.raises(InvalidDivisorError):
+        second_component_check(empty, pair)
+
+
 def _raw_dot(x: ClassVector, y: ClassVector) -> int:
     return -sum(a * b for a, b in zip(x.coeffs, y.coeffs))
 

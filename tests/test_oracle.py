@@ -46,7 +46,6 @@ from donlat import oracle
 from donlat.oracle import (
     _bits,
     _canonical_classes,
-    _canonical_key,
     _cycle_prefixes,
     _dihedral_orders,
     _pool,
@@ -330,8 +329,9 @@ def test_raw_mode_matches_the_list_based_search_in_order():
 
 
 def _brute_force_key(rows):
-    """_canonical_key by trying every basis permutation with every
-    rotation and reflection of the curve order."""
+    """The least (squares, matrix) of a cycle, found by trying every
+    basis permutation with every rotation and reflection of the curve
+    order."""
     s, n = len(rows), len(rows[0])
     orders = [tuple((r + d * i) % s for i in range(s)) for r in range(s) for d in (1, -1)]
     ordered = [
@@ -345,15 +345,15 @@ def _brute_force_key(rows):
     )
 
 
-def test_canonical_key_matches_a_brute_force_search():
+def test_canonical_form_matches_a_brute_force_search():
     cases = [(n, s, False) for n in range(1, 4) for s in range(1, n + 1)]
     cases += [(n, s, True) for n in (4, 5) for s in range(1, n + 1)]
     for n, s, symmetry in cases:
         for cfg in enumerate_cycles(n, s, symmetry=symmetry):
             rows = [c.coeffs for c in cfg.curves]
-            squares = [intersect(c, c) for c in cfg.curves]
-            key = _canonical_key(rows, squares, _dihedral_orders(s))
-            assert key == _brute_force_key(rows), (n, s, rows)
+            _, mat = _brute_force_key(rows)
+            want = CycleConfig(n, tuple(map(ClassVector, mat)), None)
+            assert canonicalize_cycle(cfg) == want, (n, s, rows)
 
 
 # sha256 of the JSON list of raw enumerate_cycles(n, s): the order of
@@ -416,7 +416,7 @@ def _one_per_row_set(raw):
 def _reference_symmetric_cycles(n, s):
     """enumerate_cycles with symmetry on but without the cell rule: the
     orbit roots and square prunes only, so the search finds every
-    labelling of a class and the key merges them."""
+    labelling of a class and the canonical form merges them."""
     if s == 1:
         rows = [tuple(-1 if j < r else 0 for j in range(n)) for r in range(1, n + 1)]
         return tuple(CycleConfig(n, (ClassVector(row),), None) for row in sorted(rows))
@@ -458,12 +458,12 @@ def _reference_symmetric_cycles(n, s):
         else:
             allowed = everything & ~pool.type_b if is_b[f] else everything
             extend([f], allowed & pool.square_at_least[sq[f]], everything)
-    orders = _dihedral_orders(s)
-    canon = {}
-    for seq in found:
-        key = _canonical_key([cand[i].coeffs for i in seq], [sq[i] for i in seq], orders)
-        canon.setdefault(key, CycleConfig(n, tuple(ClassVector(row) for row in key[1]), None))
-    return tuple(canon[k] for k in sorted(canon))
+    canon = {canonicalize_cycle(CycleConfig(n, tuple(cand[i] for i in seq), None)) for seq in found}
+
+    def order(cfg):
+        return tuple(intersect(c, c) for c in cfg.curves), tuple(c.coeffs for c in cfg.curves)
+
+    return tuple(sorted(canon, key=order))
 
 
 def test_orderly_search_matches_the_search_without_cells():
@@ -800,33 +800,15 @@ def test_rank_eight_counts():
     assert counts == [52, 154, 638, 1842]
 
 
-def test_about_one_canonical_key_per_class(monkeypatch):
-    calls = []
-    key = oracle._canonical_key
-
-    def counted(rows, *args):
-        calls.append(len(rows))
-        return key(rows, *args)
-
-    monkeypatch.setattr(oracle, "_canonical_key", counted)
-    kept = sum(count for _, s, _, count in census(6, cap=6) if s >= 2)
-    assert kept == 737
-    assert len(calls) <= 2 * kept
-    for s in range(2, 8):
-        calls.clear()
-        kept = len(enumerate_cycles(7, s, cap=7))
-        assert len(calls) <= 2 * kept, (s, len(calls), kept)
-
-
 def test_census_and_enumeration_build_no_key(monkeypatch):
     calls = []
-    key = oracle._canonical_key
+    canonical = oracle.canonicalize_cycle
 
-    def counted(rows, *args):
-        calls.append(len(rows))
-        return key(rows, *args)
+    def counted(cfg):
+        calls.append(cfg.s)
+        return canonical(cfg)
 
-    monkeypatch.setattr(oracle, "_canonical_key", counted)
+    monkeypatch.setattr(oracle, "canonicalize_cycle", counted)
     census(6, cap=6)
     for s in range(2, 8):
         enumerate_cycles(7, s, cap=7)
@@ -836,19 +818,18 @@ def test_census_and_enumeration_build_no_key(monkeypatch):
 def test_found_cycles_have_columns_sorted_and_accepted_ones_are_keys():
     # the premise of `_canonical_classes`: every cycle the symmetric
     # search finds has its columns in numeric order, and each one it
-    # accepts is its own canonical key
+    # accepts is its own canonical form
     for n in range(2, 8):
         pool = _pool(n)
-        rows, sq = pool.rows, pool.squares
+        rows = pool.rows
         for s in range(2, n + 1):
             for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
                 for j in _bits(closing):
                     columns = list(zip(*(rows[i] for i in (*prefix, j))))
                     assert columns == sorted(columns), (n, s, prefix, j)
-            orders = _dihedral_orders(s)
             for cycle in _canonical_classes(pool, s):
-                squares, found = tuple(sq[i] for i in cycle), tuple(rows[i] for i in cycle)
-                assert _canonical_key(found, squares, orders) == (squares, found), (n, s, cycle)
+                found = CycleConfig(n, tuple(pool.classes[i] for i in cycle), None)
+                assert canonicalize_cycle(found) == found, (n, s, cycle)
 
 
 def _stabilizer_order(rows, orders):
@@ -882,6 +863,36 @@ def _necklaces(n, s):
     g = gcd(n, s)
     phi = [sum(gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(g + 1)]
     return sum(phi[d] * comb(n // d, s // d) for d in range(1, g + 1) if g % d == 0) // n
+
+
+def _compositions(n, s):
+    """The compositions of n into s positive parts, one per choice of
+    s - 1 cut points among the n - 1 gaps."""
+    for cuts in combinations(range(1, n), s - 1):
+        bounds = (0, *cuts, n)
+        yield [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def test_partition_column_is_the_compositions_up_to_rotation():
+    # observed up to n = 8, not proven: from_selfintersections builds,
+    # for each composition of n into s parts, the cycle whose tails are
+    # consecutive runs of those sizes, and their classes are exactly the
+    # partition-case column.  A second construction of that column,
+    # independent of the search: up to rotation a composition is a binary
+    # necklace with s ones (Gilbert and Riordan 1961), which is the count
+    # test_census_columns_match_closed_forms checks
+    for n in range(2, 9):
+        for s in range(2, n + 1):
+            built = {
+                canonicalize_cycle(from_selfintersections([p + 1 for p in parts]))
+                for parts in _compositions(n, s)
+            }
+            found = {
+                cfg
+                for cfg in enumerate_cycles(n, s, cap=8)
+                if betti_check(cfg)[0] is CycleVerdict.PARTITION_CASE
+            }
+            assert built == found, (n, s)
 
 
 def test_census_columns_match_closed_forms():

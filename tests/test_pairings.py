@@ -148,6 +148,13 @@ def dense_validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
     s = cfg.cycle.s
     seen_attach: dict[int, int] = {}
     for t_idx, tree in enumerate(cfg.trees):
+        if not tree.chain:
+            bad.append(
+                Violation(
+                    "tree-empty",
+                    f"tree {t_idx} has an empty chain; a tree needs at least one curve",
+                )
+            )
         if not 0 <= tree.attach < s:
             bad.append(
                 Violation(
@@ -552,6 +559,8 @@ def test_divisor_checks_match_dense_on_fixtures_and_planted_faults():
         assert not check_divisor(cfg)
     mixed = MaximalDivisorConfig(fixture("kato522332").cycle, (TreeConfig((ClassVector((1, 0)),), 0),))
     assert not check_divisor(mixed)
+    empty = MaximalDivisorConfig(fixture("ex333").cycle, (TreeConfig((), 0),))
+    assert not check_divisor(empty)
 
 
 def test_divisor_checks_match_dense_on_the_replay_divisors():
