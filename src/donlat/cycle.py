@@ -23,18 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curveclass import NonCurve, TypeA, TypeB, classify, is_nodal_cycle_class
 from .errors import (
     BadSelfIntersectionError,
+    InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
     RankTooSmallError,
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _class_sum, _pairings, basis, e_sum, intersect, square, zero
+from .lattice import ClassVector, _class_sum, _pairings, intersect, square
 
 __all__ = [
     "BettiResult",
@@ -311,9 +313,10 @@ def from_selfintersections(ks: Sequence[int]) -> CycleConfig:
     rank is n = sum (k_i - 1), the heads are alpha_0 = 0 and
     alpha_{i+1} = alpha_i + k_i - 1, and curve i is
 
-        e_{alpha_i} - (e_{alpha_i + 1} + ... + e_{alpha_{i+1}})
+        e_{alpha_i} - (e_{alpha_i + 1} + ... + e_{alpha_i + k_i - 1}),
 
-    with the last tail wrapping around to include e_0.
+    labels taken mod n: its tail is the run of k_i - 1 labels after its
+    head, ending at the next head, and the last tail wraps around to 0.
 
     Raises:
         SingleCurveError: fewer than two entries.
@@ -325,20 +328,14 @@ def from_selfintersections(ks: Sequence[int]) -> CycleConfig:
     for k in ks:
         if k < 2:
             raise BadSelfIntersectionError(f"self-intersection opposite {k} below 2")
-    s = len(ks)
     n = sum(k - 1 for k in ks)
-    alphas = [0]
-    for k in ks[:-1]:
-        alphas.append(alphas[-1] + k - 1)
+    alphas = (0, *accumulate(k - 1 for k in ks[:-1]))
     curves = []
-    for i in range(s):
-        lo = alphas[i] + 1
-        hi = alphas[i + 1] + 1 if i + 1 < s else n
-        tail = list(range(lo, hi))
-        if i == s - 1:
-            tail.append(0)
-        curves.append(basis(alphas[i], n) - e_sum(tail, n))
-    return CycleConfig(n, tuple(curves), tuple(alphas))
+    for a, k in zip(alphas, ks):
+        # the row read from the head on, then turned to start at label 0
+        row = (1,) + (-1,) * (k - 1) + (0,) * (n - k)
+        curves.append(ClassVector(row[n - a:] + row[:n - a]))
+    return CycleConfig(n, tuple(curves), alphas)
 
 
 def odd_ih_cycle(n: int) -> CycleConfig:
@@ -390,23 +387,68 @@ def canonical_numbering(cfg: CycleConfig) -> CycleConfig:
     """Relabel basis indices and rotate a partition-case cycle to the
     canonical head numbering alpha_0 = 0 < alpha_1 < ...
 
-    The rotation puts the lexicographically smallest self-intersection
-    sequence first; the output curves are exactly those of
-    `from_selfintersections` on the rotated sequence, so the pairwise
-    intersection matrix is preserved and the map is idempotent.
+    The output is `from_selfintersections(ks)`, where ks lists the
+    -D_i.D_i = |T_i| + 1 in the cycle's orientation (below), from the
+    rotation with the lexicographically smallest self-intersections.
+    It is in the input's class, so its intersection matrix is the
+    input's read in some dihedral order, and the map is idempotent.
+
+    A valid partition-case cycle of s >= 2 curves D_i = e_(h_i) - e_(T_i)
+    is one of those, by three steps.
+
+      * It is oriented: either every tail T_i holds the next head
+        h_(i+1), or every T_(i+1) holds h_i (indices mod s), and at
+        s >= 3 not both.  The tails are disjoint and cover the labels.
+        The heads are distinct: h_i = h_j would give D_i.D_j = -1.  So
+        D_i.D_j = [h_i in T_j] + [h_j in T_i], and each head lies in
+        exactly one tail, never its own.  At s >= 3 non-neighbours pair
+        0, so the tail holding h_i is a neighbour's, and a ring pair
+        pairs 1, so exactly one of its two heads lies in the other's
+        tail.  Each of the s curves thus claims one of its two ring
+        pairs and each pair is claimed once: if D_i claims the pair
+        (i, i + 1), D_(i+1) must claim (i + 1, i + 2), and so on round
+        the ring, so every pair points the same way.  At s = 2 each head
+        lies in the other tail, both ways at once.
+      * Read in the order where each T_i holds h_(i+1), it renumbers
+        to `from_selfintersections(ks)` with k_i = |T_i| + 1.  Send h_0
+        to 0, then for i = 0, ..., s - 1 send the labels of T_i other
+        than h_(i+1) to the next free labels and h_(i+1) to the one
+        after them, alpha_(i+1) (h_s = h_0 is already at 0).  Every
+        label lies in exactly one tail, so this is a permutation, and it
+        sends each D_i, fixed by its head and tail, to curve i of the
+        builder.
+      * Two compositions give one class exactly when they are rotations
+        of each other.  A rotation of the curves keeps the orientation,
+        and so does any label permutation, which keeps each head in its
+        tail.  A reflection reverses it, which at s >= 3 no label
+        permutation restores (at s = 2 it is a rotation).  So a class
+        meets the builder's cycles, which all run forward, only in
+        rotations and relabellings of one of them, whose squares are
+        rotations of its own.
+    Hence the classes of partition-case cycles of s >= 2 curves at rank
+    n are the compositions of n into s parts (k_i - 1 = |T_i|) up to
+    rotation; `oracle.census` counts them.  At s = 1 the value n forces
+    C = -e_I with |I| = n - 1, relabelled onto [1, n - 1].
 
     Raises:
         NotPartitionCaseError: betti_check does not report PartitionCase.
+        InvalidCycleError: cfg fails validate_cycle (checked afterwards,
+            so the error above takes precedence).
     """
     verdict, _ = betti_check(cfg)
     if verdict is not CycleVerdict.PARTITION_CASE:
         raise NotPartitionCaseError(f"verdict is {verdict.value}")
+    report = validate_cycle(cfg)
+    if not report.ok:
+        raise InvalidCycleError("; ".join(v.message for v in report.violations), report)
     if cfg.s == 1:
-        # value == n forces |I| = n - 1; relabel the support onto [1, n-1]
-        support = list(range(1, cfg.n))
-        return CycleConfig(cfg.n, (zero(cfg.n) - e_sum(support, cfg.n),), None)
+        return CycleConfig(cfg.n, (ClassVector((0,) + (-1,) * (cfg.n - 1)),), None)
     sq = selfintersections(cfg)
+    if cfg.curves[0].coeffs[cfg.curves[1].coeffs.index(1)] != -1:
+        # D_0's tail misses D_1's head, so the cycle runs backwards
+        sq = sq[::-1]
+    # the least rotation, off the sequence written out twice
     s = cfg.s
-    rotations = [tuple(sq[(r + i) % s] for i in range(s)) for r in range(s)]
-    ks = tuple(-v for v in min(rotations))
-    return from_selfintersections(ks)
+    sq *= 2
+    least = min(sq[r:r + s] for r in range(s))
+    return from_selfintersections(tuple(-v for v in least))

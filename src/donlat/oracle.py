@@ -491,21 +491,23 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
         s - C.C = -s - sum_i D_i.D_i.
 
     When that value is n, the cycle is the partition case if no curve
-    is type B (no index in `type_b`) and the tails partition the n
-    labels.  The test reads only that the tails cover every label:
-    their sizes already sum to n.  A type A square is -1 - |T| and a
-    type B square is -4 - |T|, so
+    is type B and the tails partition the n labels.  The test reads
+    only that the tails cover every label.  A type A square is -1 - |T|
+    and a type B square is -4 - |T| (its head, at -2, is in no tail), so
 
-        s - C.C = sum_i |T_i| + 3 (number of type B curves),
+        s - C.C = sum_i |T_i| + 3 (number of type B curves).
 
-    which is sum_i |T_i| when no curve is type B.  Tails whose sizes
-    sum to n and which cover the n labels are disjoint.  (`betti_check`
-    tests disjointness itself, since it also takes cycles that were
-    never validated.)  Rotation, reflection and label permutation keep
-    the kinds and whether the tails cover the labels, so any cycle of
-    the class decides it.  For s = 1 the classes are -e_I with |I| = r
-    for r = n, ..., 1 (see `enumerate_cycles`); C.C = -r gives the
-    value 1 + r, and the partition test does not apply.
+    With a type B curve the tails then hold at most n - 3 labels and
+    cannot cover all n; with none their sizes sum to n, so tails that
+    cover the labels are disjoint.  (`betti_check` tests the kinds and
+    disjointness itself, since it also takes cycles that were never
+    validated.)  Rotation, reflection and label permutation keep
+    whether the tails cover the labels, so any cycle of the class
+    decides it.  The partition-case classes are the compositions of n
+    into s parts up to rotation, by the proof in
+    `cycle.canonical_numbering`.  For s = 1 the classes are -e_I with
+    |I| = r for r = n, ..., 1 (see `enumerate_cycles`); C.C = -r gives
+    the value 1 + r, and the partition test does not apply.
 
     Raises:
         CapExceededError: n exceeds the configured cap.
@@ -522,15 +524,13 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
             verdicts = [_verdict(1 + r, n, lambda: True) for r in range(n, 0, -1)]
         else:
             pool = _pool(n)
-            tails, type_b, sq = pool.tails, pool.type_b, pool.squares
+            tails, sq = pool.tails, pool.squares
 
-            def partition(cycle: tuple[int, ...]) -> bool:
-                return not any(type_b >> i & 1 for i in cycle) and (
-                    reduce(or_, (tails[i] for i in cycle)) == labels
-                )
+            def covers(cycle: tuple[int, ...]) -> bool:
+                return reduce(or_, (tails[i] for i in cycle)) == labels
 
             verdicts = (
-                _verdict(-s - sum(sq[i] for i in cycle), n, lambda: partition(cycle))
+                _verdict(-s - sum(sq[i] for i in cycle), n, lambda: covers(cycle))
                 for cycle in _canonical_classes(pool, s)
             )
         counts = Counter(verdicts)

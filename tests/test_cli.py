@@ -59,6 +59,18 @@ def test_malformed_input_exits_two(monkeypatch, capsys):
     code, _, err = run(monkeypatch, capsys, ["classify", "/no/such/file.json"])
     assert code == 2
     assert err.startswith("error: cannot read")
+    cycle = fixture("ex333").cycle.to_json()
+    for payload, message in (
+        ({"n": 3, "curves": []}, "cycle needs a non-empty 'curves' array"),
+        (
+            {"n": 3, "curves": [[1, -1, -1]], "alphas": [True]},
+            "'alphas' must be an integer array or null",
+        ),
+        ({"cycle": cycle, "trees": [5]}, "expected a tree object, got 5"),
+        ({"cycle": cycle, "trees": {}}, "'trees' must be an array"),
+    ):
+        code, out, err = run(monkeypatch, capsys, ["validate"], stdin=json.dumps(payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), payload
 
 
 def test_fixture_round_trips(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from donlat import (
     ClassVector,
     CycleConfig,
     CycleVerdict,
+    InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
     RankTooSmallError,
@@ -27,6 +29,7 @@ from donlat import (
     canonicalize_cycle,
     cycle_class,
     cycle_notation,
+    e_sum,
     enumerate_cycles,
     fixture,
     from_selfintersections,
@@ -57,6 +60,14 @@ def test_from_selfintersections_rejects_bad_input():
         from_selfintersections((4,))
     with pytest.raises(BadSelfIntersectionError):
         from_selfintersections((3, 1))
+    # the length is checked before the entries, as in the reference
+    for build in (from_selfintersections, _reference_from_selfintersections):
+        for ks in ((), (1,), (4,)):
+            with pytest.raises(SingleCurveError):
+                build(ks)
+        for ks in ((1, 5), (5, 1), (2, 3, 0)):
+            with pytest.raises(BadSelfIntersectionError):
+                build(ks)
 
 
 @given(SelfIntLists)
@@ -166,6 +177,58 @@ def test_odd_ih_cycle_matches_the_basis_differences():
         assert odd_ih_cycle(n) == _reference_odd_ih_cycle(n), n
 
 
+def _reference_from_selfintersections(ks):
+    """from_selfintersections built from dense basis classes, with the
+    last curve's tail wrapping around to e_0 by hand."""
+    ks = tuple(ks)
+    if len(ks) < 2:
+        raise SingleCurveError("need at least two self-intersections")
+    for k in ks:
+        if k < 2:
+            raise BadSelfIntersectionError(f"self-intersection opposite {k} below 2")
+    s = len(ks)
+    n = sum(k - 1 for k in ks)
+    alphas = [0]
+    for k in ks[:-1]:
+        alphas.append(alphas[-1] + k - 1)
+    curves = []
+    for i in range(s):
+        lo = alphas[i] + 1
+        hi = alphas[i + 1] + 1 if i + 1 < s else n
+        tail = list(range(lo, hi))
+        if i == s - 1:
+            tail.append(0)
+        curves.append(basis(alphas[i], n) - e_sum(tail, n))
+    return CycleConfig(n, tuple(curves), tuple(alphas))
+
+
+def _assert_same_exact_config(got, want):
+    assert got == want
+    assert type(got.curves) is tuple and type(got.alphas) is tuple
+    assert [type(c.coeffs) for c in got.curves] == [tuple] * got.s
+
+
+@given(SelfIntLists)
+def test_from_selfintersections_matches_the_basis_differences(ks):
+    _assert_same_exact_config(from_selfintersections(ks), _reference_from_selfintersections(ks))
+
+
+def test_from_selfintersections_matches_on_long_cycles():
+    # the configs benchmark's long shapes: s = 40 at n = 100 and s = 64
+    # at n = 160, entries in [2, 6]
+    rng = random.Random(0)
+    for s, n in ((40, 100), (64, 160)):
+        for _ in range(5):
+            parts = [1] * s
+            for _ in range(n - s):
+                parts[rng.choice([p for p in range(s) if parts[p] < 5])] += 1
+            ks = tuple(p + 1 for p in parts)
+            cfg = from_selfintersections(ks)
+            assert cfg.n == n
+            _assert_same_exact_config(cfg, _reference_from_selfintersections(ks))
+
+
+
 def test_cycle_notation():
     assert cycle_notation(from_selfintersections((5, 2, 2, 3, 3, 2))) == "(522332)"
     assert cycle_notation(from_selfintersections((12, 2))) == "(12,2)"
@@ -193,6 +256,60 @@ def test_canonical_numbering_kills_rotations(ks, shift):
     r = shift % cfg.s
     rotated = CycleConfig(cfg.n, cfg.curves[r:] + cfg.curves[:r], None)
     assert canonical_numbering(rotated) == canonical_numbering(cfg)
+
+
+@given(SelfIntLists, st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
+def test_canonical_numbering_follows_the_orientation(ks, shift, reflect, rng):
+    """Every rotation and reflection of the curves, with the labels
+    permuted, gets the numbering of the cycle itself."""
+    cfg = from_selfintersections(ks)
+    r = shift % cfg.s
+    curves = cfg.curves[r:] + cfg.curves[:r]
+    if reflect:
+        curves = curves[::-1]
+    perm = list(range(cfg.n))
+    rng.shuffle(perm)
+    relabelled = tuple(ClassVector(tuple(c.coeffs[k] for k in perm)) for c in curves)
+    assert canonical_numbering(CycleConfig(cfg.n, relabelled)) == canonical_numbering(cfg)
+
+
+def test_canonical_numbering_of_a_reversed_cycle():
+    cfg = from_selfintersections((2, 3, 4))
+    rev = CycleConfig(6, tuple(reversed(cfg.curves)))
+    assert validate_cycle(rev).ok
+    assert betti_check(rev)[0] is CycleVerdict.PARTITION_CASE
+    # read backwards the squares are (4, 3, 2), another class
+    assert canonicalize_cycle(from_selfintersections((4, 3, 2))) != canonicalize_cycle(rev)
+    assert canonical_numbering(rev) == canonical_numbering(cfg)
+    assert canonical_numbering(cfg) == from_selfintersections((4, 2, 3))
+
+
+def test_canonical_numbering_keeps_every_partition_class():
+    for n in range(2, 9):
+        for s in range(2, n + 1):
+            for cfg in enumerate_cycles(n, s, cap=8):
+                if betti_check(cfg)[0] is CycleVerdict.PARTITION_CASE:
+                    assert canonicalize_cycle(canonical_numbering(cfg)) == cfg, (n, s, cfg)
+
+
+def test_canonical_numbering_validates_its_input():
+    # the value is n and the tails partition the labels, but curve 2
+    # meets curve 1 twice and curve 0 not at all
+    rows = [(1, 0, 0, -1), (-1, 1, -1, 0), (0, -1, 1, 0)]
+    cfg = CycleConfig(4, tuple(map(ClassVector, rows)))
+    assert betti_check(cfg)[0] is CycleVerdict.PARTITION_CASE
+    with pytest.raises(InvalidCycleError) as info:
+        canonical_numbering(cfg)
+    assert info.value.report.codes() == ("adjacent-intersection",) * 2
+    # one curve e_0 at rank 2: the value 1 - C.C is 2, yet no nodal curve
+    single = CycleConfig(2, (ClassVector((1, 0)),))
+    assert betti_check(single)[0] is CycleVerdict.PARTITION_CASE
+    with pytest.raises(InvalidCycleError) as info:
+        canonical_numbering(single)
+    assert info.value.report.codes() == ("single-not-nodal",)
+    # the verdict is checked first
+    with pytest.raises(NotPartitionCaseError):
+        canonical_numbering(CycleConfig(2, (ClassVector((1, 1)), ClassVector((1, 1)))))
 
 
 def test_canonical_numbering_prefers_the_steep_start():

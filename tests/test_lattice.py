@@ -55,6 +55,8 @@ def test_index_bounds():
     with pytest.raises(IndexRangeError):
         e_sum([0, 5], 5)
     with pytest.raises(IndexRangeError):
+        e_sum([], 0)
+    with pytest.raises(IndexRangeError):
         zero(0)
 
 

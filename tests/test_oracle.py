@@ -874,31 +874,40 @@ def _compositions(n, s):
 
 
 def test_partition_column_is_the_compositions_up_to_rotation():
-    # observed up to n = 8, not proven: from_selfintersections builds,
-    # for each composition of n into s parts, the cycle whose tails are
-    # consecutive runs of those sizes, and their classes are exactly the
-    # partition-case column.  A second construction of that column,
-    # independent of the search: up to rotation a composition is a binary
-    # necklace with s ones (Gilbert and Riordan 1961), which is the count
-    # test_census_columns_match_closed_forms checks
+    # the theorem proven in cycle.canonical_numbering's docstring: every
+    # partition-case cycle of s >= 2 curves is oriented and renumbers to
+    # from_selfintersections(|T_i| + 1), the cycle whose tails are
+    # consecutive runs of those sizes, and two compositions give one
+    # class exactly when they are rotations of each other.  So the
+    # partition-case column is the compositions of n into s parts up to
+    # rotation, built here independently of the search; up to rotation
+    # a composition is a binary necklace with s ones (Gilbert and
+    # Riordan 1961), which is the count test_census_columns_match_closed_forms
+    # checks
     for n in range(2, 9):
         for s in range(2, n + 1):
-            built = {
-                canonicalize_cycle(from_selfintersections([p + 1 for p in parts]))
-                for parts in _compositions(n, s)
-            }
+            built = {}
+            for parts in _compositions(n, s):
+                cfg = canonicalize_cycle(from_selfintersections([p + 1 for p in parts]))
+                necklace = min(tuple(parts[r:] + parts[:r]) for r in range(s))
+                built.setdefault(cfg, set()).add(necklace)
             found = {
                 cfg
                 for cfg in enumerate_cycles(n, s, cap=8)
                 if betti_check(cfg)[0] is CycleVerdict.PARTITION_CASE
             }
-            assert built == found, (n, s)
+            assert built.keys() == found, (n, s)
+            # each cycle class comes from one rotation class of
+            # compositions, and no two from the same one
+            assert all(len(necklaces) == 1 for necklaces in built.values()), (n, s)
+            assert len(set().union(*built.values())) == len(found), (n, s)
 
 
 def test_census_columns_match_closed_forms():
-    # observed up to n = 8, not proven: the partition-case count is the
-    # binary necklace count below s = n and 1 at s = n, and OddIH
-    # occurs only at s = n
+    # the partition-case count is the binary necklace count below s = n
+    # and 1 at s = n, by the theorem that
+    # test_partition_column_is_the_compositions_up_to_rotation states;
+    # that OddIH occurs only at s = n is observed up to n = 8, not proven
     for n in range(1, 9):
         rows = census(n, cap=8)
         partition = {s: c for _, s, v, c in rows if v is CycleVerdict.PARTITION_CASE}
