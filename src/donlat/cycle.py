@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _class_sum, _pairings, intersect, square
+from .lattice import ClassVector, _class_sum, _mismatches, _pairings, intersect, square
 
 __all__ = [
     "BettiResult",
@@ -203,33 +203,25 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
             Violation("two-type-b", f"curves {type_b} all have a -2 head; at most one allowed")
         )
 
-    if s == 2:
-        got = intersect(cfg.curves[0], cfg.curves[1])
-        if got != 2:
-            bad.append(
-                Violation("pair-intersection", f"the two curves meet {got} times, need 2")
-            )
-    else:
-        # only ring pairs and meeting pairs can break the pattern
-        pairs = _pairings(cfg.curves)
-        ring = {(i, i + 1) for i in range(s - 1)} | {(0, s - 1)}
-        for i, j in sorted(ring | pairs.keys()):
-            got = pairs.get((i, j), 0)
-            if (i, j) not in ring:
-                bad.append(
-                    Violation(
-                        "nonadjacent-intersection",
-                        f"non-consecutive curves {i},{j} meet {got} times, need 0",
-                    )
-                )
-            elif got != 1:
-                bad.append(
-                    Violation(
-                        "adjacent-intersection",
-                        f"consecutive curves {i},{j} meet {got} times, need 1",
-                    )
-                )
+    # the ring pairs meet once, except that at s = 2 the one pair meets twice
+    ring = [(i, i + 1) for i in range(s - 1)] + [(0, s - 1)]
+    want = dict.fromkeys(ring, 2 if s == 2 else 1)
+    for i, j, got, need in _mismatches(_pairings(cfg.curves), want):
+        if s == 2:
+            code, text = "pair-intersection", "the two curves"
+        elif need:
+            code, text = "adjacent-intersection", f"consecutive curves {i},{j}"
+        else:
+            code, text = "nonadjacent-intersection", f"non-consecutive curves {i},{j}"
+        bad.append(Violation(code, f"{text} meet {got} times, need {need}"))
     return CycleReport(tuple(bad))
+
+
+def _checked(report: CycleReport, error: Callable[[str, CycleReport], Exception]) -> None:
+    """Raise `error` with the violation messages joined by "; " and the
+    report riding along, unless the report holds."""
+    if not report.ok:
+        raise error("; ".join(v.message for v in report.violations), report)
 
 
 class CycleClass(NamedTuple):
@@ -271,15 +263,15 @@ def betti_check(cfg: CycleConfig) -> BettiResult:
     the cycle minus C.C, i.e. exactly s - C.C.  Verdicts:
 
       * PartitionCase: value == n and (for s >= 2) every curve is type A
-        with the tail sets partitioning [0, n-1]; for s == 1 the value
-        test alone decides, the nodal curve playing the degenerate role.
+        with the tail sets partitioning [0, n-1]; for s == 1 the curve
+        has the -e_I shape, the nodal curve playing the degenerate role.
       * OddIH: value == 2n (the configuration only fits a surface whose
         cycle homology sits with index 2).
       * Inadmissible: anything else.
     """
     total = _class_sum(cfg.curves, cfg.n)
     value = cfg.s - intersect(total, total)
-    return BettiResult(_verdict(value, cfg.n, lambda: cfg.s == 1 or _is_partition(cfg)), value)
+    return BettiResult(_verdict(value, cfg.n, lambda: _is_partition(cfg)), value)
 
 
 def _verdict(value: int, n: int, partition: Callable[[], bool]) -> CycleVerdict:
@@ -294,7 +286,10 @@ def _verdict(value: int, n: int, partition: Callable[[], bool]) -> CycleVerdict:
 
 
 def _is_partition(cfg: CycleConfig) -> bool:
-    """All curves type A and their tails partition [0, n-1]."""
+    """For s >= 2, all curves type A and their tails partition [0, n-1];
+    for s == 1, the curve is nodal (-e_I with I nonempty)."""
+    if cfg.s == 1:
+        return is_nodal_cycle_class(cfg.curves[0])[0]
     seen: set[int] = set()
     for c in cfg.curves:
         kind = classify(c)
@@ -438,9 +433,7 @@ def canonical_numbering(cfg: CycleConfig) -> CycleConfig:
     verdict, _ = betti_check(cfg)
     if verdict is not CycleVerdict.PARTITION_CASE:
         raise NotPartitionCaseError(f"verdict is {verdict.value}")
-    report = validate_cycle(cfg)
-    if not report.ok:
-        raise InvalidCycleError("; ".join(v.message for v in report.violations), report)
+    _checked(validate_cycle(cfg), InvalidCycleError)
     if cfg.s == 1:
         return CycleConfig(cfg.n, (ClassVector((0,) + (-1,) * (cfg.n - 1)),), None)
     sq = selfintersections(cfg)

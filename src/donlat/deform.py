@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curveclass import NonCurve, classify
-from .cycle import CycleConfig, validate_cycle
+from .cycle import CycleConfig, _checked, validate_cycle
 from .errors import InvalidCycleError, PositionOutOfRangeError
 from .lattice import ClassVector, basis
 
@@ -59,11 +59,7 @@ def smooth_node(
         InvalidCycleError: cfg fails validation.
         PositionOutOfRangeError: position outside [0, s-1].
     """
-    report = validate_cycle(cfg)
-    if not report.ok:
-        raise InvalidCycleError(
-            "; ".join(v.message for v in report.violations), report
-        )
+    _checked(validate_cycle(cfg), InvalidCycleError)
     s = cfg.s
     if not 0 <= position < s:
         raise PositionOutOfRangeError(f"position {position} outside [0, {s - 1}]")

@@ -46,6 +46,7 @@ from .cycle import (
     CycleConfig,
     CycleReport,
     Violation,
+    _checked,
     cycle_class,
     validate_cycle,
 )
@@ -58,7 +59,7 @@ from .errors import (
     RankMismatchError,
     SchemaError,
 )
-from .lattice import ClassVector, _class_sum, _pairings, e_sum, intersect, square
+from .lattice import ClassVector, _class_sum, _mismatches, _pairings, e_sum, intersect, square
 
 __all__ = [
     "DivisorReport",
@@ -225,18 +226,15 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
                         "only the cycle may carry a -2 head",
                     )
                 )
-        steps = {(i, i + 1) for i in range(len(tree.chain) - 1)}
-        for i, j in sorted(steps | links[t_idx].keys()):
-            got = links[t_idx].get((i, j), 0)
-            want = 1 if j == i + 1 else 0
-            if got != want:
-                bad.append(
-                    Violation(
-                        "tree-not-chain",
-                        f"tree {t_idx} curves {i},{j} meet {got} times, need {want}; "
-                        "trees must be chains",
-                    )
+        steps = dict.fromkeys([(i, i + 1) for i in range(len(tree.chain) - 1)], 1)
+        for i, j, got, need in _mismatches(links[t_idx], steps):
+            bad.append(
+                Violation(
+                    "tree-not-chain",
+                    f"tree {t_idx} curves {i},{j} meet {got} times, need {need}; "
+                    "trees must be chains",
                 )
+            )
         if 0 <= tree.attach < s:
             for c_idx, curve_hits in enumerate(hits[t_idx]):
                 if c_idx == 0:
@@ -290,10 +288,7 @@ def total_class(cfg: MaximalDivisorConfig) -> TotalClass:
         InvalidDivisorError: validation fails; the report rides along.
     """
     report = validate_maximal_divisor(cfg)
-    if not report.ok:
-        raise InvalidDivisorError(
-            "; ".join(v.message for v in report.violations), report
-        )
+    _checked(report, InvalidDivisorError)
     assert report.total is not None and report.support is not None
     return TotalClass(report.total, report.support)
 
@@ -469,32 +464,25 @@ def second_component_check(
             SecondComponentVerdict.TWO_CYCLES, tuple(notes), conflict
         )
 
+    # every note names a failed constraint, so any note is a contradiction
     notes = []
-    failed = False
     for comp in comps:
         try:
             k, tail = simply_connected_class([other[i] for i in comp])
         except NotLemmaFormError as exc:
             notes.append(f"component {comp}: {exc}")
-            failed = True
             continue
         if k not in cycle_support:
             notes.append(
                 f"component {comp}: head {k} lies outside the cycle support "
                 f"{sorted(cycle_support)}"
             )
-            failed = True
         overlap = tail & cycle_support
         if len(overlap) != 1:
             notes.append(
                 f"component {comp}: tail meets the cycle support in "
                 f"{sorted(overlap)}, need exactly one index"
             )
-            failed = True
-    if failed:
-        return SecondComponentResult(
-            SecondComponentVerdict.CONTRADICTION, tuple(notes)
-        )
-    return SecondComponentResult(
-        SecondComponentVerdict.TREE_CONSTRAINTS_HOLD, tuple(notes)
-    )
+    if notes:
+        return SecondComponentResult(SecondComponentVerdict.CONTRADICTION, tuple(notes))
+    return SecondComponentResult(SecondComponentVerdict.TREE_CONSTRAINTS_HOLD)

@@ -201,6 +201,25 @@ def _pairings(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
     return out
 
 
+def _mismatches(
+    pairs: dict[tuple[int, int], int], want: dict[tuple[int, int], int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Each pair whose pairing in `pairs` differs from its wanted value in
+    `want`, as (i, j, got, need), in sorted pair order.
+
+    A pair missing from either dict counts as 0, so `pairs` may be the
+    sparse output of `_pairings` and `want` may list only the pairs that
+    must meet.
+    """
+    if pairs == want:
+        # the usual case, a pattern that holds, needs no sort
+        return
+    for i, j in sorted(pairs.keys() | want.keys()):
+        got, need = pairs.get((i, j), 0), want.get((i, j), 0)
+        if got != need:
+            yield i, j, got, need
+
+
 def square(x: ClassVector) -> int:
     """Self-intersection x . x."""
     return intersect(x, x)

@@ -301,12 +301,29 @@ def test_canonical_numbering_validates_its_input():
     with pytest.raises(InvalidCycleError) as info:
         canonical_numbering(cfg)
     assert info.value.report.codes() == ("adjacent-intersection",) * 2
-    # one curve e_0 at rank 2: the value 1 - C.C is 2, yet no nodal curve
-    single = CycleConfig(2, (ClassVector((1, 0)),))
-    assert betti_check(single)[0] is CycleVerdict.PARTITION_CASE
-    with pytest.raises(InvalidCycleError) as info:
-        canonical_numbering(single)
-    assert info.value.report.codes() == ("single-not-nodal",)
+    # the error carries the validator's report and its joined messages
+    report = validate_cycle(cfg)
+    assert info.value.report == report
+    assert str(info.value) == "; ".join(v.message for v in report.violations)
+    assert str(info.value) == (
+        "consecutive curves 0,2 meet 0 times, need 1; "
+        "consecutive curves 1,2 meet 2 times, need 1"
+    )
+    # one curve e_0 at rank 2, and e_1 - e_2 - e_3 at rank 4: the value
+    # 1 - C.C is n, yet neither is a nodal curve, so neither is the
+    # partition case, and the verdict is checked first
+    for single in (
+        CycleConfig(2, (ClassVector((1, 0)),)),
+        CycleConfig(4, (ClassVector((0, 1, -1, -1)),)),
+    ):
+        assert betti_check(single) == (CycleVerdict.INADMISSIBLE, single.n)
+        assert validate_cycle(single).codes() == ("single-not-nodal",)
+        with pytest.raises(NotPartitionCaseError):
+            canonical_numbering(single)
+    # a nodal curve -e_I with |I| = n - 1 has the value n and still is
+    nodal = CycleConfig(4, (ClassVector((0, -1, -1, -1)),))
+    assert betti_check(nodal) == (CycleVerdict.PARTITION_CASE, 4)
+    assert canonical_numbering(nodal) == nodal
     # the verdict is checked first
     with pytest.raises(NotPartitionCaseError):
         canonical_numbering(CycleConfig(2, (ClassVector((1, 1)), ClassVector((1, 1)))))

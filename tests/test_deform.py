@@ -85,6 +85,13 @@ def test_position_and_validity_guards():
     with pytest.raises(InvalidCycleError) as err:
         smooth_node(junk, 0)
     assert "not-a-curve" in err.value.report.codes()
+    # the error carries the validator's report and its joined messages
+    report = validate_cycle(junk)
+    assert err.value.report == report
+    assert str(err.value) == "; ".join(v.message for v in report.violations)
+    assert str(err.value) == (
+        "curve 0 is not a rational curve class; the two curves meet 0 times, need 2"
+    )
 
 
 @given(SelfIntLists, st.integers(0, 4))

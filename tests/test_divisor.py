@@ -208,6 +208,23 @@ def test_total_class_raises_on_invalid_input():
     with pytest.raises(InvalidDivisorError) as err:
         total_class(bad)
     assert "attach-out-of-range" in err.value.report.codes()
+    # total_class, and second_component_check through it, raise the
+    # validator's report with its violation messages joined by "; "
+    chain, attach = KATO.trees[0].chain, KATO.trees[0].attach
+    swapped = chain[:1] + (chain[2], chain[1]) + chain[3:]
+    bad = MaximalDivisorConfig(KATO.cycle, (TreeConfig(swapped, attach),))
+    report = validate_maximal_divisor(bad)
+    assert report.codes() == ("tree-not-chain",) * 4
+    joined = "; ".join(v.message for v in report.violations)
+    assert joined.startswith(
+        "tree 0 curves 0,1 meet 0 times, need 1; trees must be chains; "
+        "tree 0 curves 0,2 meet 1 times, need 0; trees must be chains; "
+    )
+    for call in (lambda: total_class(bad), lambda: second_component_check(bad, ())):
+        with pytest.raises(InvalidDivisorError) as err:
+            call()
+        assert err.value.report == report
+        assert str(err.value) == joined
 
 
 def test_arithmetic_genus():

@@ -55,7 +55,7 @@ from donlat import (
     validate_maximal_divisor,
     zero,
 )
-from donlat.lattice import _pairings
+from donlat.lattice import _mismatches, _pairings
 
 # --- the dense reference -----------------------------------------------------
 
@@ -486,6 +486,21 @@ def test_pairings_refuse_mixed_ranks():
     assert _pairings(()) == {}
 
 
+def test_mismatches_walk_both_dicts_in_sorted_order():
+    pairs = {(2, 3): 1, (0, 4): 5, (1, 2): -1, (0, 1): 2}
+    want = {(3, 4): 1, (1, 2): -1, (0, 1): 1}
+    # (1, 2) agrees; (0, 4) and (2, 3) are missing from `want`, (3, 4)
+    # from `pairs`, and each counts as 0 there
+    assert list(_mismatches(pairs, want)) == [
+        (0, 1, 2, 1),
+        (0, 4, 5, 0),
+        (2, 3, 1, 0),
+        (3, 4, 0, 1),
+    ]
+    assert list(_mismatches(pairs, pairs)) == []
+    assert list(_mismatches({}, {(0, 1): 0})) == []
+
+
 def test_intersection_matrix_matches_intersect():
     for cfg in (odd_ih_cycle(7), from_selfintersections((5, 2, 3, 4)), fixture("ih522342").cycle):
         assert intersection_matrix(cfg) == tuple(
@@ -513,6 +528,22 @@ def test_validate_cycle_matches_dense_on_every_small_cycle():
                     check_cycle(variant)
                     checked += 1
     assert checked == 35_488
+
+
+def test_validate_cycle_matches_dense_on_two_curve_cycles():
+    """Pairs that meet -2, 0, 1, 2 and 3 times, in both orders."""
+    pairs = {
+        -2: ((1, -1, 0), (1, -1, 0)),
+        0: ((1, -1, 0), (0, 0, 1)),
+        1: ((1, -1, 0), (0, 1, -1)),
+        2: ((1, -1, 0), (-1, 1, 0)),
+        3: ((1, 1, 1), (-1, -1, -1)),
+    }
+    for got, (a, b) in pairs.items():
+        a, b = ClassVector(a), ClassVector(b)
+        assert intersect(a, b) == got
+        for curves in ((a, b), (b, a)):
+            assert check_cycle(CycleConfig(3, curves)) == (got == 2)
 
 
 def test_validate_cycle_matches_dense_on_large_cycles():
