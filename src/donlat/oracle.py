@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import add, mul, or_, sub
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .curveclass import (
     CurveKind,
@@ -101,7 +100,7 @@ class _Pool(NamedTuple):
     meets_once: tuple[int, ...]
     meets_twice: tuple[int, ...]
     type_b: int
-    square_at_least: Mapping[int, int]
+    not_below: tuple[int, ...]
     cuts: tuple[int, ...]
     fits: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -130,8 +129,8 @@ def _pool(n: int) -> _Pool:
     Pairings between classes are kept only as bitsets over class
     indices (bit j stands for class j): `apart[i]`, `meets_once[i]` and
     `meets_twice[i]` hold the classes pairing 0, 1 and 2 with class i,
-    `type_b` the type B classes and `square_at_least[v]`, for each
-    square v in the pool, the classes whose square is at least v.
+    `type_b` the type B classes and `not_below[i]` the classes whose
+    square is at least class i's.
 
     The pairing bitsets come from a closed form.  A class with head h,
     lead l (1 or -2) and tail T pairs with one with head h', lead l'
@@ -214,6 +213,8 @@ def _pool(n: int) -> _Pool:
         for P in range(len(fits)):
             if P & bit:
                 fits[P] |= fits[P ^ bit]
+    # one mask per square value: the n * 2^n classes hold at most 2n
+    by_square = {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
     return _Pool(
         cand,
         heads,
@@ -223,9 +224,7 @@ def _pool(n: int) -> _Pool:
         tuple(meets_once),
         tuple(meets_twice),
         _mask(i for i, (row, h) in enumerate(zip(rows, heads)) if row[h] == -2),
-        MappingProxyType(
-            {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
-        ),
+        tuple(map(by_square.__getitem__, squares)),
         cuts,
         tuple(fits),
         rows,
@@ -301,9 +300,13 @@ def enumerate_cycles(
     pool indices follow the order of the rows, so the classes sort by
     their squares, then their indices.
 
-    Both modes run one search, `_cycle_prefixes`; the raw result lists
-    the closing classes of each prefix from the lowest index up, and
-    `_canonical_classes` visits them in the same order.
+    Both modes run one search, `_cycle_prefixes`, which prunes only
+    through the pool's per-class tables: the cells (`cuts`, `fits`) and
+    the squares (`not_below`).  Raw mode is the same search over tables
+    that prune nothing: no cuts, one cell that fits every class, and no
+    class below another.  The raw result lists the closing classes of
+    each prefix from the lowest index up, and `_canonical_classes`
+    visits them in the same order.
 
     The search has no one-type-B rule: the pairings already leave at
     most one type B class per cycle, at every node of the search.  Two
@@ -340,12 +343,16 @@ def enumerate_cycles(
     pool = _pool(n)
     cand = pool.classes
     if not symmetry:
-        # one comprehension over the search: each prefix's classes are
-        # looked up once, then each closing class is appended to them
+        # the same search over tables that prune nothing, in one
+        # comprehension: each prefix's classes are looked up once, then
+        # each closing class is appended to them
+        m = len(cand)
+        everything = (1 << m) - 1
+        raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
         return tuple(
             [
                 CycleConfig(n, (*head, cand[j]), None)
-                for prefix, closing in _cycle_prefixes(pool, s, symmetry=False)
+                for prefix, closing in _cycle_prefixes(raw, s)
                 for head in (tuple(map(cand.__getitem__, prefix)),)
                 for j in _bits(closing)
             ]
@@ -368,27 +375,23 @@ def _within_cap(n: int, s: int, cap: int | None) -> None:
         raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
 
 
-def _cycle_prefixes(pool: _Pool, s: int, symmetry: bool) -> Iterable[tuple[tuple[int, ...], int]]:
+def _cycle_prefixes(pool: _Pool, s: int) -> Iterable[tuple[tuple[int, ...], int]]:
     """The search of `enumerate_cycles` for s >= 2: each prefix of s - 1
     pool indices once, with the bitset of the classes that close it
-    into a cycle."""
-    meets_once, apart, sq = pool.meets_once, pool.apart, pool.squares
-    everything = (1 << len(sq)) - 1
-    if symmetry:
-        cuts, fits = pool.cuts, pool.fits
-    else:
-        # every label cell then stays whole and admits every class,
-        # so every class is a root
-        cuts, fits = (0,) * len(sq), (everything,)
+    into a cycle.  It prunes only through the pool's `cuts`, `fits` and
+    `not_below` tables, so tables that prune nothing make it the raw
+    search."""
+    meets_once, apart = pool.meets_once, pool.apart
+    cuts, fits, not_below = pool.cuts, pool.fits, pool.not_below
     if s == 2:
         for f in _bits(fits[0]):
-            yield (f,), pool.meets_twice[f] & fits[cuts[f]]
+            yield (f,), pool.meets_twice[f] & fits[cuts[f]] & not_below[f]
         return
 
     def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        # free: the classes meeting none of the interior curves, and
-        # with symmetry on none with a square below the root's;
-        # cells: the gaps between labels some placed curve tells apart
+        # free: the classes meeting none of the interior curves and not
+        # below the root; cells: the gaps between labels some placed
+        # curve tells apart
         root, last = seq[0], seq[-1]
         nxt = meets_once[last] & free & fits[cells]
         if len(seq) > 1:
@@ -401,22 +404,20 @@ def _cycle_prefixes(pool: _Pool, s: int, symmetry: bool) -> Iterable[tuple[tuple
                 seq.pop()
             return
         # each seq + [j] is a prefix of s - 1 classes, closed by the
-        # classes meeting both j and the root
+        # classes meeting both j and the root; the reflected path closes
+        # with the larger of the two squares next to the root and finds
+        # any cycle this one drops
         close = meets_once[root] & free
         for j in _bits(nxt):
             closing = meets_once[j] & close & fits[cells | cuts[j]]
-            if symmetry:
-                # the reflected path closes with the larger of the
-                # two squares next to the root and finds it anyway
-                closing &= pool.square_at_least[sq[seq[1] if len(seq) > 1 else j]]
+            closing &= not_below[seq[1] if len(seq) > 1 else j]
             if closing:
                 yield (*seq, j), closing
 
     for f in _bits(fits[0]):
         # the canonical rotation starts at a minimal square, so some
         # sibling root finds any class with a smaller one
-        free = pool.square_at_least[sq[f]] if symmetry else everything
-        yield from extend([f], free, cuts[f])
+        yield from extend([f], not_below[f], cuts[f])
 
 
 def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
@@ -458,7 +459,7 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     """
     pool_rows, sq = pool.rows, pool.squares
     others = _dihedral_orders(s)[1:]
-    for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
+    for prefix, closing in _cycle_prefixes(pool, s):
         head_sq = tuple(sq[i] for i in prefix)
         head = tuple(pool_rows[i] for i in prefix)
         for j in _bits(closing):

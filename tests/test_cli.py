@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from donlat import (
     CycleConfig,
     MaximalDivisorConfig,
+    NotNodalFormError,
     TreeConfig,
     divisor_graph,
     enumerate_cycles,
     fixture,
     to_dot,
 )
+from donlat import cli
 from donlat.cli import main
 
 
@@ -191,6 +193,19 @@ def test_out_of_range_arguments_exit_two(monkeypatch, capsys, argv):
     code, out, err = run(monkeypatch, capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_other_library_errors_exit_one(monkeypatch, capsys):
+    # a DonlatError outside the usage errors means the input was read
+    # but the mathematics refused it
+    def refuse(n, cap=None):
+        raise NotNodalFormError("cycle class [1, 1] has a coefficient outside {0,-1}")
+
+    monkeypatch.setattr(cli, "census", refuse)
+    code, out, err = run(monkeypatch, capsys, ["census", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: cycle class [1, 1] has a coefficient outside {0,-1}\n"
+    assert "Traceback" not in err
 
 
 def test_enumerate_tsv(monkeypatch, capsys):

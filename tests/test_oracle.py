@@ -99,9 +99,9 @@ def test_pool_tables_match_intersect_and_classify():
             assert pool.tails[i] == sum(1 << k for k in kinds[i].tail)
             assert pool.squares[i] == intersect(a, a)
         assert pool.type_b == sum(1 << i for i, k in enumerate(kinds) if isinstance(k, TypeB))
-        assert set(pool.square_at_least) == set(pool.squares)
-        for v, mask in pool.square_at_least.items():
-            assert mask == sum(1 << i for i, q in enumerate(pool.squares) if q >= v)
+        assert len(pool.not_below) == len(cand)
+        for i, mask in enumerate(pool.not_below):
+            assert mask == sum(1 << j for j, q in enumerate(pool.squares) if q >= pool.squares[i])
 
 
 def test_pool_bitsets_match_the_pairing_table():
@@ -119,8 +119,8 @@ def test_pool_bitsets_match_the_pairing_table():
                 assert masks[i] == sum(1 << j for j in range(m) if row[j] == v), (n, cand[i], v)
         squares = [pairing[i][i] for i in range(m)]
         assert list(pool.squares) == squares
-        for v, mask in pool.square_at_least.items():
-            assert mask == sum(1 << i for i, q in enumerate(squares) if q >= v)
+        for i, mask in enumerate(pool.not_below):
+            assert mask == sum(1 << j for j, q in enumerate(squares) if q >= squares[i]), (n, i)
 
 
 def test_pool_bitsets_match_intersect_at_ranks_seven_and_eight():
@@ -426,6 +426,7 @@ def _reference_symmetric_cycles(n, s):
     is_b = [isinstance(classify(c), TypeB) for c in cand]
     sq = [intersect(c, c) for c in cand]
     everything = (1 << m) - 1
+    square_at_least = {v: sum(1 << i for i, q in enumerate(sq) if q >= v) for v in set(sq)}
     # one root per basis-permutation orbit: head 0 and tail {1, ..., t}
     roots = []
     for i, c in enumerate(cand):
@@ -439,7 +440,7 @@ def _reference_symmetric_cycles(n, s):
         root, last = seq[0], seq[-1]
         nxt = meets_once[last] & allowed & free
         if k == s - 1:
-            nxt &= meets_once[root] & pool.square_at_least[sq[seq[1]]]
+            nxt &= meets_once[root] & square_at_least[sq[seq[1]]]
             found.extend((*seq, j) for j in _bits(nxt))
             return
         if k > 1:
@@ -457,7 +458,7 @@ def _reference_symmetric_cycles(n, s):
             ]
         else:
             allowed = everything & ~pool.type_b if is_b[f] else everything
-            extend([f], allowed & pool.square_at_least[sq[f]], everything)
+            extend([f], allowed & square_at_least[sq[f]], everything)
     canon = {canonicalize_cycle(CycleConfig(n, tuple(cand[i] for i in seq), None)) for seq in found}
 
     def order(cfg):
@@ -652,6 +653,20 @@ def test_chain_dichotomy_composes_exactly_the_once_meeting_pairs(monkeypatch):
         assert report.max_type_b_pairing == max(bb, default=None), n
 
 
+def test_chain_dichotomy_reports_two_type_b_classes_meeting_once(monkeypatch):
+    # no rank has such a pair, so a pool with one planted link stands in
+    pool = _pool(3)
+    i, j = list(_bits(pool.type_b))[:2]
+    meets_once = list(pool.meets_once)
+    meets_once[i] |= 1 << j
+    linked = pool._replace(meets_once=tuple(meets_once))
+    monkeypatch.setattr(oracle, "_pool", lambda n: linked)
+    report = verify_chain_dichotomy(3)
+    assert not report.ok
+    assert report.witnesses == ((pool.classes[i], pool.classes[j], 1),)
+    assert report.max_type_b_pairing == 1
+
+
 def test_compose_chain_matches_the_sweeps_row_sum_kind():
     for n in range(1, 6):
         pool = _pool(n)
@@ -794,10 +809,11 @@ def test_rank_seven_output_digests():
 
 
 def test_rank_eight_counts():
-    # confirmed by an orbit-stabilizer mass check against the raw tuple
-    # count; s = 6..8 are not confirmed yet
-    counts = [len(enumerate_cycles(8, s, cap=8)) for s in range(2, 6)]
-    assert counts == [52, 154, 638, 1842]
+    # confirmed by an orbit-stabilizer mass check: s = 2..5 against the
+    # raw tuple count, s = 6 against the least-root count (a one-off
+    # run; 1,434,343,680 ordered cycles); s = 7 and 8 are not confirmed yet
+    counts = [len(enumerate_cycles(8, s, cap=8)) for s in range(2, 7)]
+    assert counts == [52, 154, 638, 1842, 3823]
 
 
 def test_census_and_enumeration_build_no_key(monkeypatch):
@@ -823,7 +839,7 @@ def test_found_cycles_have_columns_sorted_and_accepted_ones_are_keys():
         pool = _pool(n)
         rows = pool.rows
         for s in range(2, n + 1):
-            for prefix, closing in _cycle_prefixes(pool, s, symmetry=True):
+            for prefix, closing in _cycle_prefixes(pool, s):
                 for j in _bits(closing):
                     columns = list(zip(*(rows[i] for i in (*prefix, j))))
                     assert columns == sorted(columns), (n, s, prefix, j)
@@ -842,19 +858,60 @@ def _stabilizer_order(rows, orders):
     return sum(fixing for o in orders if Counter(zip(*twice[o])) == columns)
 
 
+def _orbit_mass(n, s):
+    """The size of the union of the S_n x D_s orbits of the symmetric
+    classes of cycles of s curves in rank n: the sum over the classes of
+    the group order over the class's stabilizer order."""
+    orders = _dihedral_orders(s)
+    group = factorial(n) * len(orders)
+    mass = 0
+    for cfg in enumerate_cycles(n, s, cap=n):
+        orbit, rest = divmod(group, _stabilizer_order([c.coeffs for c in cfg.curves], orders))
+        assert rest == 0, cfg
+        mass += orbit
+    return mass
+
+
+def _least_root_raw_count(n, s):
+    """The number of ordered cycles of s >= 2 curves in rank n that the
+    raw mode lists, counted with one search over tables that keep one
+    ordered cycle per set of classes.  Every class is a root and no
+    label cell splits, but `not_below[i]` holds only the classes with
+    index above i: every class after the root lies above it, so the
+    root is the cycle's least index, and the closing prune keeps the
+    class after the root below the closing class.  The classes of a
+    cycle are pairwise distinct (a class pairs to its negative square
+    with itself, two curves of a cycle to 0, 1 or 2), so its 2s
+    rotations and reflections are distinct ordered cycles and exactly
+    one of them passes both rules; at s = 2 its two rotations are all
+    its orders."""
+    pool = _pool(n)
+    m = len(pool.classes)
+    everything = (1 << m) - 1
+    above = tuple(everything & ~((2 << i) - 1) for i in range(m))
+    tables = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=above)
+    found = sum(closing.bit_count() for _, closing in _cycle_prefixes(tables, s))
+    return found * (2 if s == 2 else 2 * s)
+
+
+def test_least_root_count_matches_the_raw_mode():
+    for n in range(2, 6):
+        for s in range(2, n + 1):
+            raw = enumerate_cycles(n, s, symmetry=False)
+            assert _least_root_raw_count(n, s) == len(raw), (n, s)
+
+
 def test_orbit_stabilizer_mass_matches_the_raw_count():
     # each class is one orbit of S_n x D_s on the ordered cycles the raw
     # mode lists, so a lost class or a doubled one breaks the sum
     cases = [(n, s) for n in range(1, 6) for s in range(1, n + 1)] + [(6, 2), (6, 3)]
     for n, s in cases:
-        orders = _dihedral_orders(s)
-        group = factorial(n) * len(orders)
-        mass = 0
-        for cfg in enumerate_cycles(n, s, cap=6):
-            orbit, rest = divmod(group, _stabilizer_order([c.coeffs for c in cfg.curves], orders))
-            assert rest == 0, cfg
-            mass += orbit
-        assert mass == len(enumerate_cycles(n, s, symmetry=False, cap=6)), (n, s)
+        assert _orbit_mass(n, s) == len(enumerate_cycles(n, s, symmetry=False, cap=6)), (n, s)
+    # further on the least-root count stands in for the raw list; CI
+    # checks (7, 5..7) and (8, 4) the same way
+    cases = [(6, s) for s in range(4, 7)] + [(7, s) for s in range(2, 5)] + [(8, 2), (8, 3)]
+    for n, s in cases:
+        assert _orbit_mass(n, s) == _least_root_raw_count(n, s), (n, s)
 
 
 def _necklaces(n, s):
