@@ -91,6 +91,15 @@ class ClassVector:
         return cls(tuple(data))
 
 
+def _permuted(coeffs: tuple[int, ...]) -> ClassVector:
+    """A ClassVector on a permutation of a checked vector's coefficients,
+    built without the per-coefficient type check they already passed.
+    The caller guarantees coeffs is a nonempty tuple of ints."""
+    x = object.__new__(ClassVector)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
 def _check_same_rank(x: ClassVector, y: ClassVector) -> None:
     if x.n != y.n:
         raise RankMismatchError(f"rank mismatch: {x.n} vs {y.n}")

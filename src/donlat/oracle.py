@@ -15,6 +15,9 @@ basis-permutation orbit.  Of the labellings met, exactly one is its
 class's canonical form, the one `canonicalize_cycle` returns, and only
 that one is accepted (`_canonical_classes`), so each class is counted
 once with no table of the classes seen and returned as it was found.
+The squares of the curves decide most acceptances: only the rotations
+and reflections that start at a least square are tried, and their
+columns are sorted only when their squares tie the found cycle's.
 
 `enumerate_cycles` and `census` cap the rank (default 5, override via
 the DONLAT_CAP environment variable or an explicit argument) to keep
@@ -42,7 +45,7 @@ from .curveclass import (
 )
 from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, SchemaError
-from .lattice import ClassVector
+from .lattice import ClassVector, _permuted
 
 __all__ = [
     "DEFAULT_CAP",
@@ -261,8 +264,15 @@ def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     squares = tuple(-sum(map(mul, row, row)) for row in rows) * 2
     rows *= 2
     least = min(squares[o] for o in orders)
-    mat = min(tuple(zip(*sorted(zip(*rows[o])))) for o in orders if squares[o] == least)
-    return CycleConfig(cfg.n, tuple(ClassVector(row) for row in mat), None)
+    mat = min(_sorted_columns(rows[o]) for o in orders if squares[o] == least)
+    # each row is a permutation of a checked input row
+    return CycleConfig(cfg.n, tuple(map(_permuted, mat)), None)
+
+
+def _sorted_columns(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows with their columns sorted (compared from the top): the
+    least matrix a label permutation makes of them."""
+    return tuple(zip(*sorted(zip(*rows))))
 
 
 # --- cycle enumeration ----------------------------------------------------
@@ -295,7 +305,9 @@ def enumerate_cycles(
     orbit.  Pairings, kinds and squares do not change under the
     permutations, so the square prunes compose with the rule.  What is
     left is a few labellings per class, and `_canonical_classes` keeps
-    the one that is its class's canonical form.  That form is
+    the one that is its class's canonical form.  Squares decide most of
+    that test, a prefix at a time, and columns are sorted only for an
+    order whose squares tie the found cycle's.  That form is
     `canonicalize_cycle`'s representative, so it is returned as found;
     pool indices follow the order of the rows, so the classes sort by
     their squares, then their indices.
@@ -428,9 +440,9 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     The canonical form of a cycle is the one `canonicalize_cycle`
     returns: its least (squares, matrix) over the dihedral orders of
     its curves and the permutations of its labels, matrices compared
-    row by row, each row from the left.  The squares come first, and for a fixed curve
-    order the best label permutation sorts the columns (compared from
-    the top).
+    row by row, each row from the left.  The squares come first, and
+    for a fixed curve order the best label permutation sorts the
+    columns (compared from the top).
 
     Every cycle the search finds already has its columns sorted.  Two
     neighbouring labels share a cell until the first row where their
@@ -453,23 +465,75 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     meets the canonical form of each class exactly once.  A found cycle
     is that form when no other dihedral order beats it: none has
     smaller squares, and none with the same squares has column-sorted
-    rows smaller than the found rows, which need no sort.  The test
-    stops at the first order that beats it.  So an accepted cycle is its
-    own canonical form.
+    rows smaller than the found rows, which need no sort.  So an
+    accepted cycle is its own canonical form.
+
+    Squares decide most of that test, a prefix at a time.  Write h_0,
+    ..., h_(s-2) for the squares of a prefix and q for the closing
+    class's.
+      - Only an order that starts at a least square can compete.  The
+        root's prune puts every class of the cycle in `not_below[root]`,
+        so h_0 is a least square, and an order that starts at a larger
+        one loses at its first square.  So only the rotations and
+        reflections that start at a position holding h_0 are tested.
+      - At s >= 3, say the root holds the only least square of the
+        prefix.  The closing prune gives q >= h_1 > h_0, so the root
+        holds the only least square of the cycle, and only the
+        reflection at the root, D_0, D_(s-1), ..., D_1, can tie.  Its
+        squares h_0, q, h_(s-2), ..., h_2, h_1 beat the found ones
+        h_0, h_1, h_2, ..., h_(s-2), q at the second place when q > h_1,
+        so the found cycle is accepted with no rows built.  When
+        q = h_1 the middle squares h_2, ..., h_(s-2) decide, against
+        their reverse, once per prefix: a greater reverse accepts, a
+        smaller one rejects, and only on a tie are the reflection's
+        columns sorted.  As q >= h_1 always, a greater reverse accepts
+        every closing class of the prefix.
+      - Otherwise the prefix's least-square orders are listed once, and
+        the closing class's two orders join them only when q = h_0.
+        Each is compared on squares first, and its columns are sorted
+        only when the squares tie.  At s = 2 the list is empty, so a
+        pair is accepted when q > h_0 and otherwise tested against its
+        other rotation.
     """
     pool_rows, sq = pool.rows, pool.squares
-    others = _dihedral_orders(s)[1:]
+    # the dihedral orders other than the found one, by the position
+    # they start at
+    starting = [[] for _ in range(s)]
+    for o in _dihedral_orders(s)[1:]:
+        starting[o.start % s].append(o)
     for prefix, closing in _cycle_prefixes(pool, s):
-        head_sq = tuple(sq[i] for i in prefix)
-        head = tuple(pool_rows[i] for i in prefix)
+        head_sq = tuple(map(sq.__getitem__, prefix))
+        h0 = head_sq[0]
+        if s > 2 and head_sq.count(h0) == 1:
+            # only the reflection at the root can tie, and only at q = h1
+            h1, middle = head_sq[1], head_sq[2:]
+            flipped = middle[::-1]
+            if flipped > middle:
+                for j in _bits(closing):
+                    yield (*prefix, j)
+            elif flipped < middle:
+                for j in _bits(closing):
+                    if sq[j] > h1:
+                        yield (*prefix, j)
+            else:
+                head = tuple(map(pool_rows.__getitem__, prefix))
+                turned = head[:0:-1]
+                for j in _bits(closing):
+                    row = pool_rows[j]
+                    if sq[j] > h1 or _sorted_columns((head[0], row, *turned)) >= (*head, row):
+                        yield (*prefix, j)
+            continue
+        head = tuple(map(pool_rows.__getitem__, prefix))
+        rivals = [o for p, h in enumerate(head_sq) if h == h0 for o in starting[p]]
         for j in _bits(closing):
-            squares, rows = (*head_sq, sq[j]), (*head, pool_rows[j])
+            q = sq[j]
+            squares, rows = (*head_sq, q), (*head, pool_rows[j])
             squares2, rows2 = squares * 2, rows * 2
-            if all(
-                squares2[o] > squares
-                or squares2[o] == squares and tuple(zip(*sorted(zip(*rows2[o])))) >= rows
-                for o in others
-            ):
+            for o in rivals + starting[-1] if q == h0 else rivals:
+                rival = squares2[o]
+                if rival < squares or rival == squares and _sorted_columns(rows2[o]) < rows:
+                    break
+            else:
                 yield (*prefix, j)
 
 
@@ -521,20 +585,23 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     labels = (1 << n) - 1
     rows = []
     for s in range(1, n + 1):
+        # found[value, covers]: how many classes have that value, and
+        # at value n whether their tails cover the labels
         if s == 1:
-            verdicts = [_verdict(1 + r, n, lambda: True) for r in range(n, 0, -1)]
+            found = Counter((1 + r, True) for r in range(n, 0, -1))
         else:
             pool = _pool(n)
             tails, sq = pool.tails, pool.squares
-
-            def covers(cycle: tuple[int, ...]) -> bool:
-                return reduce(or_, (tails[i] for i in cycle)) == labels
-
-            verdicts = (
-                _verdict(-s - sum(sq[i] for i in cycle), n, lambda: covers(cycle))
+            found = Counter(
+                (
+                    value := -s - sum(map(sq.__getitem__, cycle)),
+                    value == n and reduce(or_, map(tails.__getitem__, cycle)) == labels,
+                )
                 for cycle in _canonical_classes(pool, s)
             )
-        counts = Counter(verdicts)
+        counts = Counter()
+        for (value, covers), count in found.items():
+            counts[_verdict(value, n, lambda: covers)] += count
         rows += [(n, s, verdict, counts[verdict]) for verdict in CycleVerdict if counts[verdict]]
     return tuple(rows)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from donlat import (
     square,
     zero,
 )
-from donlat.lattice import _class_sum
+from donlat.lattice import _class_sum, _permuted
 
 Ranks = st.integers(min_value=1, max_value=6)
 
@@ -83,12 +85,23 @@ def test_class_sum_matches_repeated_addition(case):
 
 
 def test_coefficients_must_be_plain_ints():
-    with pytest.raises(TypeError):
-        ClassVector((1, True))
-    with pytest.raises(TypeError):
-        ClassVector((1.0, 0))
+    for bad in ((1, True), (False,), (1.0, 0), (0, "1"), (None,)):
+        with pytest.raises(TypeError):
+            ClassVector(bad)
     with pytest.raises(ValueError):
         ClassVector(())
+
+
+def test_unchecked_vectors_match_checked_ones():
+    # `_permuted` skips only the check: canonicalize_cycle's rows from it
+    # compare, hash and freeze like the constructor's
+    for coeffs in ((1, 0, -1), (-2, -1), (0,)):
+        x = _permuted(coeffs)
+        assert type(x) is ClassVector
+        assert x == ClassVector(coeffs) and hash(x) == hash(ClassVector(coeffs))
+        assert x.coeffs is coeffs
+        with pytest.raises(FrozenInstanceError):
+            x.coeffs = (0,)
 
 
 @given(VectorPairs)

@@ -848,6 +848,44 @@ def test_found_cycles_have_columns_sorted_and_accepted_ones_are_keys():
                 assert canonicalize_cycle(found) == found, (n, s, cycle)
 
 
+def _accepted_by_every_order(pool, s):
+    """The found cycles that `_canonical_classes` should accept, by its
+    definition with no shortcut: the found cycle's (squares, rows) is
+    no greater than (squares, column-sorted rows) of each other
+    dihedral order, every order sorted in full."""
+    rows, sq = pool.rows, pool.squares
+    others = _dihedral_orders(s)[1:]
+    for prefix, closing in _cycle_prefixes(pool, s):
+        for j in _bits(closing):
+            cycle = (*prefix, j)
+            squares = tuple(sq[i] for i in cycle) * 2
+            mat = tuple(rows[i] for i in cycle) * 2
+            found = (squares[:s], mat[:s])
+            if all((squares[o], tuple(zip(*sorted(zip(*mat[o]))))) >= found for o in others):
+                yield cycle
+
+
+def test_acceptance_matches_the_test_over_every_order():
+    # the square shortcuts neither drop a canonical cycle nor keep
+    # another, and the accepted cycles come in the search's order
+    for n in range(2, 8):
+        pool = _pool(n)
+        for s in range(2, n + 1):
+            assert list(_canonical_classes(pool, s)) == list(_accepted_by_every_order(pool, s)), (n, s)
+
+
+def test_found_and_accepted_counts():
+    # the search alone (`_cycle_prefixes`) fixes the found counts, so a
+    # change to the acceptance test must leave them as they are; the
+    # accepted counts are the class counts for s >= 2.  CI pins the
+    # rank-9 found count, 106137
+    for n, found, accepted in ((5, 242, 183), (6, 1051, 737), (7, 4736, 3187)):
+        pool = _pool(n)
+        sizes = range(2, n + 1)
+        assert sum(c.bit_count() for s in sizes for _, c in _cycle_prefixes(pool, s)) == found, n
+        assert sum(1 for s in sizes for _ in _canonical_classes(pool, s)) == accepted, n
+
+
 def _stabilizer_order(rows, orders):
     """How many (label permutation, dihedral order) pairs fix the ordered
     cycle with these rows: for each order giving the same multiset of
