@@ -19,6 +19,7 @@ import json
 import sys
 from typing import Sequence
 
+from . import oracle
 from .curveclass import TypeA, TypeB, classify, kind_to_json
 from .cycle import CycleConfig, Violation, betti_check, cycle_notation
 from .deform import EllipticOutcome, smooth_node
@@ -35,7 +36,6 @@ from .errors import (
 from .fixtures import fixture
 from .graph import divisor_graph, to_dot
 from .lattice import ClassVector
-from .oracle import census, enumerate_cycles
 
 __all__ = ["main", "entry"]
 
@@ -129,7 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    rows = census(args.n, cap=args.cap)
+    rows = oracle.census(args.n, cap=args.cap)
     if args.format == "json":
         print(
             json.dumps(
@@ -147,7 +147,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    configs = enumerate_cycles(args.n, args.s, symmetry=not args.no_symmetry, cap=args.cap)
+    configs = oracle.enumerate_cycles(args.n, args.s, symmetry=not args.no_symmetry, cap=args.cap)
     if args.format == "json":
         print(json.dumps([cfg.to_json() for cfg in configs]))
         return EXIT_OK

@@ -235,6 +235,19 @@ def cycle_class(cfg: CycleConfig) -> CycleClass:
     The support I_C may be empty (the class sum of a cycle of
     (-2)-curves covering every index is zero).
 
+    On a valid cycle the sum always has that form.  Every curve class x
+    has sum_k (x_k^2 + x_k) = 2: its head gives 1 + 1 or 4 - 2, each -1
+    of its tail gives 0.  For two curve classes, as x.y =
+    -sum_k x_k y_k, sum_k ((x + y)_k^2 + (x + y)_k) = 4 - 2 x.y.  At
+    s = 1 the one curve is nodal, -e_I itself.  At s = 2 the pair meets
+    twice.  At s >= 3 the prefix P = D_0 + ... + D_(s-2) is a run of
+    neighbours, so a curve class (`oracle.verify_internonvide` proves
+    that runs sum to curve classes), and P.D_(s-1) = 2: only D_0 and
+    D_(s-2) meet the closing curve.  Either way the cycle class C has
+    sum_k (c_k^2 + c_k) = 0.  As c^2 + c > 0 for every integer outside
+    {0, -1}, C = -e_I, so C.C = -|I| and `betti_check`'s value s - C.C
+    is s + |I|.  The error below fires only on unvalidated input.
+
     Raises:
         NotNodalFormError: some coefficient of the sum is outside {0, -1}.
     """

@@ -574,6 +574,22 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     |I| = r for r = n, ..., 1 (see `enumerate_cycles`); C.C = -r gives
     the value 1 + r, and the partition test does not apply.
 
+    Every class has the value s + |I|.  The class of a valid cycle is
+    C = -e_I: every curve class x has sum_k (x_k^2 + x_k) = 2, and the
+    sum of two has 4 - 2 x.y; the prefix D_0 + ... + D_(s-2) is a curve
+    class that meets the closing curve twice (at s = 2 the pair meets
+    twice), so sum_k (c_k^2 + c_k) = 0 and every c_k is 0 or -1 (the
+    full proof is in `cycle.cycle_class`).  Then C.C = -|I|.  As
+    s <= n and |I| <= n, the value 2n of OddIH comes only at s = n,
+    with I holding every label, and the partition case needs
+    |I| = n - s.
+
+    The range s <= n is a choice, not a theorem.  Cycles of n + 1
+    curves exist: 1, 1, 3, 7, 22 and 66 classes for n = 1..6, all with
+    |I| = n, so Inadmissible (value 2n + 1).  Whether s <= n + 1 always
+    holds, and whether some (n + 1)-cycle has |I| = n - 1 (which would
+    read OddIH), is open.
+
     Raises:
         CapExceededError: n exceeds the configured cap.
         IndexRangeError: n below 1.

@@ -22,7 +22,7 @@ from donlat import (
     fixture,
     to_dot,
 )
-from donlat import cli
+from donlat import oracle
 from donlat.cli import main
 
 
@@ -201,7 +201,8 @@ def test_other_library_errors_exit_one(monkeypatch, capsys):
     def refuse(n, cap=None):
         raise NotNodalFormError("cycle class [1, 1] has a coefficient outside {0,-1}")
 
-    monkeypatch.setattr(cli, "census", refuse)
+    # the CLI reads census off the oracle module when the command runs
+    monkeypatch.setattr(oracle, "census", refuse)
     code, out, err = run(monkeypatch, capsys, ["census", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "error: cycle class [1, 1] has a coefficient outside {0,-1}\n"

@@ -30,6 +30,7 @@ from donlat import (
     census,
     classify,
     compose_chain,
+    cycle_class,
     cycle_notation,
     effective_cap,
     enumerate_cycles,
@@ -544,6 +545,26 @@ def test_census_value_is_minus_s_minus_the_squares():
             assert betti_check(cfg).value == -s - squares, cfg
 
 
+def test_value_is_s_plus_the_support_size():
+    # the theorem in cycle.cycle_class's docstring: a valid cycle's class
+    # is C = -e_I, so s - C.C = s + |I|, on every class for n <= 7
+    for n in range(1, 8):
+        for s in range(1, n + 1):
+            for cfg in enumerate_cycles(n, s, cap=7):
+                assert betti_check(cfg).value == s + len(cycle_class(cfg).support), cfg
+
+
+def test_cycles_one_longer_than_the_rank():
+    # census stops at s = n by choice: (n + 1)-cycles exist, and up to
+    # n = 6 each has |I| = n, so reads Inadmissible at value 2n + 1
+    counts = []
+    for n in range(1, 7):
+        cycles = enumerate_cycles(n, n + 1, cap=7)
+        counts.append(len(cycles))
+        assert {betti_check(cfg) for cfg in cycles} == {(CycleVerdict.INADMISSIBLE, 2 * n + 1)}, n
+    assert counts == [1, 1, 3, 7, 22, 66]
+
+
 def test_census_builds_no_cycle_config(monkeypatch):
     built = []
     init = CycleConfig.__init__
@@ -1002,7 +1023,9 @@ def test_census_columns_match_closed_forms():
     # the partition-case count is the binary necklace count below s = n
     # and 1 at s = n, by the theorem that
     # test_partition_column_is_the_compositions_up_to_rotation states;
-    # that OddIH occurs only at s = n is observed up to n = 8, not proven
+    # OddIH occurs only at s = n, since the value is s + |I| with s and
+    # |I| at most n (the theorem in cycle.cycle_class's docstring, which
+    # test_value_is_s_plus_the_support_size checks on every class)
     for n in range(1, 9):
         rows = census(n, cap=8)
         partition = {s: c for _, s, v, c in rows if v is CycleVerdict.PARTITION_CASE}

@@ -1,9 +1,16 @@
-"""The package's public name list and the README's quick tour."""
+"""The package's public name list, the README's quick tour, and the
+oracle loading on first use."""
 
 from __future__ import annotations
 
 import doctest
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import donlat
 
@@ -21,3 +28,77 @@ def test_readme_quick_tour_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
     assert attempted > 0
     assert failed == 0
+
+
+# A fresh interpreter that notes whether oracle.py's module body runs
+# (the audit hook sees the `exec` of its code object), then runs the
+# rest of its command line as `python -m donlat.cli` would.  Its last
+# stderr line is that note.
+_PROBE = """
+import os, runpy, sys
+ran = []
+sys.addaudithook(
+    lambda event, args: event == "exec"
+    and getattr(args[0], "co_filename", "").endswith(os.sep + "oracle.py")
+    and ran.append(True)
+)
+try:
+    runpy.run_module("donlat.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(f"oracle ran: {bool(ran)}", file=sys.stderr)
+"""
+
+
+def _fresh(*args, stdin=""):
+    env = {**os.environ, "PYTHONPATH": str(Path(donlat.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+_KATO = json.dumps(donlat.fixture("kato522332").to_json())
+_EX333 = json.dumps(donlat.fixture("ex333").to_json())
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, oracle_runs",
+    [
+        (["classify"], "[1, -1, -1]", False),
+        (["fixture", "ex333"], "", False),
+        (["validate"], _KATO, False),
+        (["smooth", "--i", "0"], _EX333, False),
+        (["dot"], _KATO, False),
+        (["census", "--n", "3"], "", True),
+        (["enumerate", "--n", "3", "--s", "3"], "", True),
+    ],
+    ids=["classify", "fixture", "validate", "smooth", "dot", "census", "enumerate"],
+)
+def test_cli_runs_the_oracle_only_for_its_commands(argv, stdin, oracle_runs):
+    proc = _fresh("-c", _PROBE, *argv, stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"oracle ran: {oracle_runs}"
+
+
+def test_lazy_oracle_is_registered_and_resolves():
+    # what a tracer that patches donlat.oracle relies on: the module is
+    # in sys.modules once donlat.cli is imported, and the package names
+    # read through it
+    script = """
+import sys
+import donlat.cli
+import donlat
+lazy = sys.modules["donlat.oracle"]
+assert lazy is donlat.oracle
+assert "census" not in object.__getattribute__(lazy, "__dict__")
+assert donlat.census is donlat.oracle.census
+assert donlat.enumerate_cycles is lazy.enumerate_cycles
+names = {}
+exec("from donlat import *", names)
+assert sorted(set(names) - {"__builtins__"}) == donlat.__all__
+assert all(names[name] is getattr(donlat, name) for name in donlat.__all__)
+listed = dir(donlat)
+assert set(donlat.__all__) <= set(listed) and "oracle" in listed and "__all__" in listed
+assert "__getattr__" not in listed and "__dir__" not in listed
+"""
+    proc = _fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
