@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     TwoTypeBError,
 )
-from .lattice import ClassVector, intersect
+from .lattice import ClassVector, _check_same_rank, _plain_int, intersect
 
 __all__ = [
     "CurveKind",
@@ -186,6 +186,7 @@ def compose_chain(a: ClassVector, b: ClassVector) -> CurveKind:
     Raises:
         NotACurveError: an operand is NonCurve.
         TwoTypeBError: both operands are type B.
+        RankMismatchError: the operands live in different ranks.
         NotAdjacentError: intersect(a, b) != 1.
     """
     ka, kb = classify(a), classify(b)
@@ -207,10 +208,12 @@ def distinct_heads(a: ClassVector, b: ClassVector) -> bool:
 
     Raises:
         NotTypeAError: an operand is not of the e_i - e_I shape.
+        RankMismatchError: the operands live in different ranks.
     """
     ka, kb = classify(a), classify(b)
     if not isinstance(ka, TypeA) or not isinstance(kb, TypeA):
         raise NotTypeAError("head comparison is defined for type A classes")
+    _check_same_rank(a, b)
     return ka.head != kb.head
 
 
@@ -231,16 +234,14 @@ def kind_from_json(data: object) -> CurveKind:
     tag = data["kind"]
     if tag == "none":
         defect = data.get("defect")
-        if not isinstance(defect, int) or isinstance(defect, bool):
+        if not _plain_int(defect):
             raise SchemaError("non-curve kind needs an integer 'defect'")
         return NonCurve(defect)
     if tag in ("A", "B"):
         head, tail = data.get("i"), data.get("I")
-        if not isinstance(head, int) or isinstance(head, bool) or head < 0:
+        if not _plain_int(head) or head < 0:
             raise SchemaError("curve kind needs a nonnegative integer head 'i'")
-        if not isinstance(tail, list) or any(
-            not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in tail
-        ):
+        if not isinstance(tail, list) or any(not _plain_int(j) or j < 0 for j in tail):
             raise SchemaError("curve kind needs a nonnegative integer array tail 'I'")
         if head in tail:
             raise SchemaError(f"head {head} may not lie in the tail")

@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _class_sum, _mismatches, _pairings, intersect, square
+from .lattice import ClassVector, _class_sum, _mismatches, _pairings, _plain_int, intersect, square
 
 __all__ = [
     "BettiResult",
@@ -132,7 +132,7 @@ class CycleConfig:
         if not isinstance(data, dict):
             raise SchemaError(f"expected a cycle object, got {data!r}")
         n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _plain_int(n) or n < 1:
             raise SchemaError("cycle needs a positive integer 'n'")
         raw = data.get("curves")
         if not isinstance(raw, list) or not raw:
@@ -140,11 +140,8 @@ class CycleConfig:
         curves = tuple(ClassVector.from_json(c) for c in raw)
         alphas = data.get("alphas")
         if alphas is not None:
-            if not isinstance(alphas, list) or any(
-                not isinstance(a, int) or isinstance(a, bool) for a in alphas
-            ):
+            if not isinstance(alphas, list) or not all(map(_plain_int, alphas)):
                 raise SchemaError("'alphas' must be an integer array or null")
-            alphas = tuple(alphas)
         return cls(n, curves, alphas)
 
 
@@ -281,17 +278,20 @@ def betti_check(cfg: CycleConfig) -> BettiResult:
       * OddIH: value == 2n (the configuration only fits a surface whose
         cycle homology sits with index 2).
       * Inadmissible: anything else.
+
+    Raises:
+        RankMismatchError: some curve's rank is not the cycle's n.
     """
     total = _class_sum(cfg.curves, cfg.n)
     value = cfg.s - intersect(total, total)
-    return BettiResult(_verdict(value, cfg.n, lambda: _is_partition(cfg)), value)
+    return BettiResult(_verdict(value, cfg.n, value == cfg.n and _is_partition(cfg)), value)
 
 
-def _verdict(value: int, n: int, partition: Callable[[], bool]) -> CycleVerdict:
-    """The verdict on s - C.C = value at rank n; `partition` runs only
-    when value == n and tells whether the tails partition the labels."""
+def _verdict(value: int, n: int, partition: bool) -> CycleVerdict:
+    """The verdict on s - C.C = value at rank n; `partition` tells, when
+    value == n, whether the tails partition the labels."""
     # value == n and value == 2n cannot both hold (n >= 1), so order is free
-    if value == n and partition():
+    if value == n and partition:
         return CycleVerdict.PARTITION_CASE
     if value == 2 * n:
         return CycleVerdict.ODD_IH
@@ -380,7 +380,11 @@ def cycle_notation(cfg: CycleConfig) -> str:
 
 
 def intersection_matrix(cfg: CycleConfig) -> tuple[tuple[int, ...], ...]:
-    """Full pairwise intersection matrix in the stored curve order."""
+    """Full pairwise intersection matrix in the stored curve order.
+
+    Raises:
+        RankMismatchError: some curve's rank differs from the first's.
+    """
     pairs = _pairings(cfg.curves)
     return tuple(
         tuple(

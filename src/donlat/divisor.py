@@ -59,7 +59,7 @@ from .errors import (
     RankMismatchError,
     SchemaError,
 )
-from .lattice import ClassVector, _class_sum, _mismatches, _pairings, e_sum, intersect, square
+from .lattice import ClassVector, _class_sum, _mismatches, _pairings, _plain_int, e_sum, intersect, square
 
 __all__ = [
     "DivisorReport",
@@ -100,7 +100,7 @@ class TreeConfig:
         if not isinstance(raw, list) or not raw:
             raise SchemaError("tree needs a non-empty 'chain' array")
         attach = data.get("attach")
-        if not isinstance(attach, int) or isinstance(attach, bool):
+        if not _plain_int(attach):
             raise SchemaError("tree needs an integer 'attach'")
         return cls(tuple(ClassVector.from_json(c) for c in raw), attach)
 
@@ -377,6 +377,7 @@ def simply_connected_class(curves: Sequence[ClassVector]) -> tuple[int, frozense
         NotTreeShapedError: disconnected, or the dual graph (edge
             multiplicity = intersection number) contains a cycle.
         NotLemmaFormError: the sum is not of the e_k - e_K shape.
+        RankMismatchError: some curve's rank differs from the first's.
     """
     if not curves:
         raise NotTreeShapedError("empty configuration")
@@ -433,6 +434,7 @@ def second_component_check(
         InvalidDivisorError: the divisor itself does not validate.
         NotDisjointError: some candidate curve meets the divisor class.
         NonCurveComponentError: a candidate fits no curve shape.
+        RankMismatchError: some candidate's rank differs from the divisor's.
     """
     vector, _ = total_class(divisor)
     _, cycle_support = cycle_class(divisor.cycle)

@@ -79,24 +79,24 @@ class NotPartitionCaseError(DonlatError):
     """Canonical renumbering only applies to partition-case cycles."""
 
 
-class InvalidCycleError(DonlatError):
-    """Operation requires a configuration that passes cycle validation."""
+class _ReportError(DonlatError):
+    """A failed validation; the report, when given, rides along."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+class InvalidCycleError(_ReportError):
+    """Operation requires a configuration that passes cycle validation."""
 
 
 class PositionOutOfRangeError(DonlatError):
     """Curve position not within the cycle."""
 
 
-class InvalidDivisorError(DonlatError):
+class InvalidDivisorError(_ReportError):
     """Operation requires a configuration that passes divisor validation."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class NonCurveComponentError(DonlatError):

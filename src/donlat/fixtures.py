@@ -28,7 +28,6 @@ from .lattice import ClassVector
 
 __all__ = ["FIXTURE_NAMES", "fixture"]
 
-FIXTURE_NAMES = ("ex333", "ih522342", "kato522332", "oddih-N")
 # largest rank oddih-N accepts: the fixture holds N curves of N coefficients
 _ODDIH_MAX_RANK = 1024
 
@@ -76,9 +75,8 @@ def kato522332() -> MaximalDivisorConfig:
     return MaximalDivisorConfig(cycle, (TreeConfig(chain, 0),))
 
 
-def odd_ih_divisor(n: int) -> MaximalDivisorConfig:
-    """The (n+2, 2, ..., 2) cycle of n curves in rank n, no trees."""
-    return MaximalDivisorConfig(odd_ih_cycle(n), ())
+_NAMED = {"ex333": ex333, "ih522342": ih522342, "kato522332": kato522332}
+FIXTURE_NAMES = (*_NAMED, "oddih-N")
 
 
 def fixture(name: str) -> MaximalDivisorConfig:
@@ -87,12 +85,8 @@ def fixture(name: str) -> MaximalDivisorConfig:
     Raises:
         UnknownFixtureError: the name matches no fixture.
     """
-    if name == "ex333":
-        return ex333()
-    if name == "ih522342":
-        return ih522342()
-    if name == "kato522332":
-        return kato522332()
+    if name in _NAMED:
+        return _NAMED[name]()
     if name.startswith("oddih-"):
         digits = name[len("oddih-") :]
         try:
@@ -107,5 +101,6 @@ def fixture(name: str) -> MaximalDivisorConfig:
             raise UnknownFixtureError(
                 f"oddih fixtures need a rank in [2, {_ODDIH_MAX_RANK}], got {n}"
             )
-        return odd_ih_divisor(n)
+        # the (n+2, 2, ..., 2) cycle of n curves in rank n, no trees
+        return MaximalDivisorConfig(odd_ih_cycle(n), ())
     raise UnknownFixtureError(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")

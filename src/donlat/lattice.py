@@ -17,7 +17,6 @@ coefficient -1 exactly on I.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -45,8 +44,7 @@ class ClassVector:
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
         for c in coeffs:
-            # bool is an int subclass; reject it so JSON true/false cannot sneak in
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _plain_int(c):
                 raise TypeError(f"coefficients must be integers, got {c!r}")
         if not coeffs:
             raise ValueError("rank must be positive")
@@ -86,18 +84,15 @@ class ClassVector:
         if not isinstance(data, list) or not data:
             raise SchemaError(f"expected a non-empty integer array, got {data!r}")
         for c in data:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _plain_int(c):
                 raise SchemaError(f"expected integer coefficients, got {c!r}")
         return cls(tuple(data))
 
 
-def _permuted(coeffs: tuple[int, ...]) -> ClassVector:
-    """A ClassVector on a permutation of a checked vector's coefficients,
-    built without the per-coefficient type check they already passed.
-    The caller guarantees coeffs is a nonempty tuple of ints."""
-    x = object.__new__(ClassVector)
-    object.__setattr__(x, "coeffs", coeffs)
-    return x
+def _plain_int(x: object) -> bool:
+    """Whether x is an int and not a bool.  bool is an int subclass, so
+    without this test a JSON true or false would pass as 1 or 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_same_rank(x: ClassVector, y: ClassVector) -> None:
@@ -107,9 +102,7 @@ def _check_same_rank(x: ClassVector, y: ClassVector) -> None:
 
 def zero(n: int) -> ClassVector:
     """The zero class in rank n."""
-    if n < 1:
-        raise IndexRangeError(f"rank must be positive, got {n}")
-    return ClassVector((0,) * n)
+    return _class_sum((), n)
 
 
 def basis(i: int, n: int) -> ClassVector:
@@ -141,8 +134,7 @@ def e_sum(indices: Iterable[int], n: int) -> ClassVector:
 
 def add(x: ClassVector, y: ClassVector) -> ClassVector:
     """Componentwise sum; both operands must share a rank."""
-    _check_same_rank(x, y)
-    return ClassVector(tuple(map(operator.add, x.coeffs, y.coeffs)))
+    return _class_sum((x, y), x.n)
 
 
 def _class_sum(classes: Sequence[ClassVector], n: int) -> ClassVector:

@@ -45,7 +45,7 @@ from .curveclass import (
 )
 from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, SchemaError
-from .lattice import ClassVector, _permuted
+from .lattice import ClassVector
 
 __all__ = [
     "DEFAULT_CAP",
@@ -265,8 +265,7 @@ def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     rows *= 2
     least = min(squares[o] for o in orders)
     mat = min(_sorted_columns(rows[o]) for o in orders if squares[o] == least)
-    # each row is a permutation of a checked input row
-    return CycleConfig(cfg.n, tuple(map(_permuted, mat)), None)
+    return CycleConfig(cfg.n, tuple(map(ClassVector, mat)), None)
 
 
 def _sorted_columns(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -617,7 +616,7 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
             )
         counts = Counter()
         for (value, covers), count in found.items():
-            counts[_verdict(value, n, lambda: covers)] += count
+            counts[_verdict(value, n, covers)] += count
         rows += [(n, s, verdict, counts[verdict]) for verdict in CycleVerdict if counts[verdict]]
     return tuple(rows)
 

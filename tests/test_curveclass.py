@@ -15,6 +15,7 @@ from donlat import (
     NotACurveError,
     NotAdjacentError,
     NotTypeAError,
+    RankMismatchError,
     SchemaError,
     TwoTypeBError,
     TypeA,
@@ -221,6 +222,9 @@ def test_distinct_heads():
     assert not distinct_heads(a, ClassVector((1, 0, -1)))
     with pytest.raises(NotTypeAError):
         distinct_heads(a, ClassVector((-2, 0, 0)))
+    # mixed ranks raise, as in every other binary operation
+    with pytest.raises(RankMismatchError):
+        distinct_heads(ClassVector((1, -1)), ClassVector((1, -1, 0)))
 
 
 @given(RankedKinds)

@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from donlat import (
     ClassVector,
+    CycleConfig,
     IndexRangeError,
     RankMismatchError,
     SchemaError,
+    TreeConfig,
     add,
     basis,
     e_sum,
     intersect,
+    kind_from_json,
     negate,
     pullback_double_cover,
     square,
     zero,
 )
-from donlat.lattice import _class_sum, _permuted
+from donlat.lattice import _class_sum
 
 Ranks = st.integers(min_value=1, max_value=6)
 
@@ -92,18 +93,6 @@ def test_coefficients_must_be_plain_ints():
         ClassVector(())
 
 
-def test_unchecked_vectors_match_checked_ones():
-    # `_permuted` skips only the check: canonicalize_cycle's rows from it
-    # compare, hash and freeze like the constructor's
-    for coeffs in ((1, 0, -1), (-2, -1), (0,)):
-        x = _permuted(coeffs)
-        assert type(x) is ClassVector
-        assert x == ClassVector(coeffs) and hash(x) == hash(ClassVector(coeffs))
-        assert x.coeffs is coeffs
-        with pytest.raises(FrozenInstanceError):
-            x.coeffs = (0,)
-
-
 @given(VectorPairs)
 def test_symmetry(pair):
     """x.y == y.x."""
@@ -156,6 +145,63 @@ def test_json_rejects_bad_payloads():
         ClassVector.from_json([True])
     with pytest.raises(SchemaError):
         ClassVector.from_json({"coeffs": [1]})
+
+
+@pytest.mark.parametrize(
+    "parse, good, bad, error",
+    [
+        # each integer slot: a payload that parses, and the same payload
+        # with true in that slot; the constructor raises TypeError
+        pytest.param(ClassVector, (1, 0), (True, 0), TypeError, id="constructor"),
+        pytest.param(ClassVector.from_json, [1, 0], [True, 0], SchemaError, id="coefficient"),
+        pytest.param(
+            CycleConfig.from_json,
+            {"n": 1, "curves": [[-1]]},
+            {"n": True, "curves": [[-1]]},
+            SchemaError,
+            id="cycle-n",
+        ),
+        pytest.param(
+            CycleConfig.from_json,
+            {"n": 2, "curves": [[1, -1], [-1, 1]], "alphas": [0, 1]},
+            {"n": 2, "curves": [[1, -1], [-1, 1]], "alphas": [0, True]},
+            SchemaError,
+            id="cycle-alphas",
+        ),
+        pytest.param(
+            TreeConfig.from_json,
+            {"chain": [[1, -1]], "attach": 1},
+            {"chain": [[1, -1]], "attach": True},
+            SchemaError,
+            id="tree-attach",
+        ),
+        pytest.param(
+            kind_from_json,
+            {"kind": "none", "defect": 1},
+            {"kind": "none", "defect": True},
+            SchemaError,
+            id="kind-defect",
+        ),
+        pytest.param(
+            kind_from_json,
+            {"kind": "A", "i": 1, "I": [0]},
+            {"kind": "A", "i": True, "I": [0]},
+            SchemaError,
+            id="kind-head",
+        ),
+        pytest.param(
+            kind_from_json,
+            {"kind": "B", "i": 0, "I": [1]},
+            {"kind": "B", "i": 0, "I": [True]},
+            SchemaError,
+            id="kind-tail",
+        ),
+    ],
+)
+def test_true_fills_no_integer_slot(parse, good, bad, error):
+    parse(good)
+    with pytest.raises(error):
+        parse(bad)
 
 
 def test_operator_sugar_matches_functions():

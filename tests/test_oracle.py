@@ -49,6 +49,7 @@ from donlat.oracle import (
     _canonical_classes,
     _cycle_prefixes,
     _dihedral_orders,
+    _mask,
     _pool,
     _type_a_chains,
 )
@@ -832,9 +833,10 @@ def test_rank_seven_output_digests():
 def test_rank_eight_counts():
     # confirmed by an orbit-stabilizer mass check: s = 2..5 against the
     # raw tuple count, s = 6 against the least-root count (a one-off
-    # run; 1,434,343,680 ordered cycles); s = 7 and 8 are not confirmed yet
-    counts = [len(enumerate_cycles(8, s, cap=8)) for s in range(2, 7)]
-    assert counts == [52, 154, 638, 1842, 3823]
+    # run; 1,434,343,680 ordered cycles); s = 7 and 8 by the second
+    # canonical order (test_a_second_canonical_order_finds_the_same_classes)
+    counts = [len(enumerate_cycles(8, s, cap=8)) for s in range(2, 9)]
+    assert counts == [52, 154, 638, 1842, 3823, 4815, 3215]
 
 
 def test_census_and_enumeration_build_no_key(monkeypatch):
@@ -905,6 +907,47 @@ def test_found_and_accepted_counts():
         sizes = range(2, n + 1)
         assert sum(c.bit_count() for s in sizes for _, c in _cycle_prefixes(pool, s)) == found, n
         assert sum(1 for s in sizes for _ in _canonical_classes(pool, s)) == accepted, n
+
+
+# a second value order on the coefficients: -2 < 1 < -1 < 0
+_SECOND_ORDER = {-2: 0, 1: 1, -1: 2, 0: 3}
+
+
+def _second_order_classes(n, s, rank_fits=True):
+    """The cycles `_canonical_classes` accepts when the pool's rows are
+    ranked under `_SECOND_ORDER`, each mapped through
+    `canonicalize_cycle`.  The cuts, squares and pairings do not depend
+    on the value order, but `fits` does, and it is rebuilt from the
+    ranked rows unless `rank_fits` is false.  The search and acceptance
+    then aim at each class's least labelling under the second order."""
+    pool = _pool(n)
+    ranked = tuple(tuple(map(_SECOND_ORDER.__getitem__, row)) for row in pool.rows)
+    fits = pool.fits
+    if rank_fits:
+        # the gaps where each ranked row steps down; a class fits a
+        # mask of gaps that holds all of them
+        steps = [_mask(k - 1 for k in range(1, n) if row[k] < row[k - 1]) for row in ranked]
+        fits = tuple(_mask(i for i, d in enumerate(steps) if not d & ~P) for P in range(1 << (n - 1)))
+    tables = pool._replace(rows=ranked, fits=fits)
+    return [
+        canonicalize_cycle(CycleConfig(n, tuple(map(pool.classes.__getitem__, cycle)), None))
+        for cycle in _canonical_classes(tables, s)
+    ]
+
+
+def test_a_second_canonical_order_finds_the_same_classes():
+    # the proofs of the search and the acceptance hold for any value
+    # order, so under the second one they accept each class once too;
+    # CI runs rank 9
+    for n in range(2, 9):
+        for s in range(2, n + 1):
+            got = _second_order_classes(n, s)
+            assert len(got) == len(set(got)), (n, s)
+            assert set(got) == set(enumerate_cycles(n, s, cap=n)), (n, s)
+    # with the rows ranked but `fits` left numeric the search drops
+    # classes, against 40, 102, 341, 756, 1111 and 837
+    lost = [len(set(_second_order_classes(7, s, rank_fits=False))) for s in range(2, 8)]
+    assert lost == [37, 72, 243, 681, 1014, 802]
 
 
 def _stabilizer_order(rows, orders):
