@@ -19,8 +19,9 @@ Everything else is NonCurve and carries its genus defect
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import mul
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     IndexRangeError,
@@ -48,34 +49,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _HeadTail:
-    """Head index and tail set shared by both curve shapes."""
+    """Head index and tail set shared by both curve shapes.
+
+    Instances are slotted (no `__dict__`); the tail is stored as a
+    frozenset, whatever iterable it is given as, and may not hold the
+    head.
+
+    The constructor is written by hand and stores each field through
+    the class's own slot descriptor, as `cycle.CycleConfig`'s does.  A
+    frozen dataclass's generated `__init__` and `__post_init__` must set
+    each field with `object.__setattr__`, which made a kind cost about
+    twice as much to build; `classify` builds one per curve of every
+    cycle and divisor it validates.  Equality, hashing, `repr`,
+    frozenness, pickling, `__match_args__` and `fields()` are the
+    generated ones.
+    """
 
     head: int
     tail: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", frozenset(self.tail))
-        if self.head in self.tail:
-            raise ValueError(f"head {self.head} may not lie in the tail")
+    def __init__(self, head: int, tail: Iterable[int]) -> None:
+        tail = frozenset(tail)
+        if head in tail:
+            raise ValueError(f"head {head} may not lie in the tail")
+        _set_head(self, head)
+        _set_tail(self, tail)
 
 
-@dataclass(frozen=True)
+_set_head = _HeadTail.head.__set__
+_set_tail = _HeadTail.tail.__set__
+
+
+# The subclasses declare their empty `__slots__` themselves rather than
+# pass slots=True, which on Python 3.10 would give them second `head`
+# and `tail` slots that hide the ones `_HeadTail.__init__` fills.
+@dataclass(frozen=True, init=False)
 class TypeA(_HeadTail):
     """Class e_head - e_tail of a smooth rational curve."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TypeB(_HeadTail):
     """Class -2 e_head - e_tail of a smooth rational curve."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class NonCurve:
-    """Anything failing the rational-curve pattern; keeps the genus defect."""
+    """Anything failing the rational-curve pattern; keeps the genus defect.
+
+    Slotted, with a hand-written constructor that stores through the
+    slot descriptor, like `_HeadTail`: the box sweep of
+    `oracle.verify_rational_pattern` builds one for most of its points.
+    """
 
     defect: int
+
+    def __init__(self, defect: int) -> None:
+        _set_defect(self, defect)
+
+
+_set_defect = NonCurve.defect.__set__
 
 
 CurveKind = Union[TypeA, TypeB, NonCurve]
@@ -108,25 +147,27 @@ def genus_defect(x: ClassVector) -> int:
 
 
 def _kind(coeffs: Sequence[int]) -> CurveKind:
-    """The curve shape of a coefficient sequence, read in one pass: the
+    """The curve shape of a coefficient sequence, read in one pass over
+    its nonzero coefficients: `compress` skips the zeros at C level, the
     -1 positions are collected as the tail and the pass stops at a
-    second coefficient outside {0, -1}.  Only a non-curve is scanned
-    again, for its genus defect."""
+    second coefficient outside {0, -1}.  The Python-level work thus
+    grows with the nonzero coefficients, not with the rank.  Only a
+    non-curve is scanned again, for its genus defect."""
     head = -1
     tail: list[int] = []
-    for k, a in enumerate(coeffs):
-        if a == -1:
+    for k in compress(count(), coeffs):
+        if coeffs[k] == -1:
             tail.append(k)
-        elif a:
-            if head >= 0:
-                return NonCurve(_defect(coeffs))
+        elif head < 0:
             head = k
+        else:
+            return NonCurve(_defect(coeffs))
     if head >= 0:
         lead = coeffs[head]
         if lead == 1:
-            return TypeA(head, frozenset(tail))
+            return TypeA(head, tail)
         if lead == -2:
-            return TypeB(head, frozenset(tail))
+            return TypeB(head, tail)
     return NonCurve(_defect(coeffs))
 
 
@@ -136,8 +177,9 @@ def classify(x: ClassVector) -> CurveKind:
     Returns TypeA(i, I) when exactly one coefficient is +1 and the rest
     lie in {0, -1}; TypeB(i, I) when exactly one coefficient is -2 and
     the rest lie in {0, -1}; otherwise NonCurve with the genus defect.
-    The pass collects the -1 positions I and stops at the second
-    coefficient outside {0, -1}.
+    The pass visits the nonzero coefficients only, as the zeros are
+    skipped at C level; it collects the -1 positions I and stops at the
+    second coefficient outside {0, -1}.
     """
     return _kind(x.coeffs)
 
@@ -170,9 +212,10 @@ def is_nodal_cycle_class(x: ClassVector) -> tuple[bool, frozenset[int] | None]:
     lie in {0, -1} (so the zero class yields (False, empty set)), and
     None when some coefficient falls outside that range.
     """
-    if any(a not in (0, -1) for a in x.coeffs):
+    coeffs = x.coeffs
+    if coeffs.count(0) + coeffs.count(-1) != len(coeffs):
         return False, None
-    support = frozenset(k for k, a in enumerate(x.coeffs) if a == -1)
+    support = frozenset(compress(count(), coeffs))
     return bool(support), support
 
 

@@ -18,6 +18,8 @@ coefficient -1 exactly on I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexRangeError, RankMismatchError, SchemaError
@@ -43,9 +45,9 @@ class ClassVector:
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
-        for c in coeffs:
-            if not _plain_int(c):
-                raise TypeError(f"coefficients must be integers, got {c!r}")
+        if not _plain_ints(coeffs):
+            bad = next(c for c in coeffs if not _plain_int(c))
+            raise TypeError(f"coefficients must be integers, got {bad!r}")
         if not coeffs:
             raise ValueError("rank must be positive")
         object.__setattr__(self, "coeffs", coeffs)
@@ -83,9 +85,9 @@ class ClassVector:
         """
         if not isinstance(data, list) or not data:
             raise SchemaError(f"expected a non-empty integer array, got {data!r}")
-        for c in data:
-            if not _plain_int(c):
-                raise SchemaError(f"expected integer coefficients, got {c!r}")
+        if not _plain_ints(data):
+            bad = next(c for c in data if not _plain_int(c))
+            raise SchemaError(f"expected integer coefficients, got {bad!r}")
         return cls(tuple(data))
 
 
@@ -93,6 +95,17 @@ def _plain_int(x: object) -> bool:
     """Whether x is an int and not a bool.  bool is an int subclass, so
     without this test a JSON true or false would pass as 1 or 0."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _plain_ints(coeffs: Sequence[object]) -> bool:
+    """Whether every coefficient passes `_plain_int`.  A coefficient of
+    type exactly int does, so the common row is decided by one pass at
+    C level over the coefficients' types; only a row holding another
+    type (bool, an int subclass, anything else) is tested one by one."""
+    return _INT_ONLY.issuperset(map(type, coeffs)) or all(map(_plain_int, coeffs))
 
 
 def _check_same_rank(x: ClassVector, y: ClassVector) -> None:
@@ -168,34 +181,40 @@ def intersect(x: ClassVector, y: ClassVector) -> int:
         RankMismatchError: operands live in different ranks.
     """
     _check_same_rank(x, y)
-    return -sum(a * b for a, b in zip(x.coeffs, y.coeffs))
+    return -sum(map(mul, x.coeffs, y.coeffs))
 
 
 def _pairings(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
     """Every nonzero pairing curves[i] . curves[j] with i < j, keyed (i, j).
 
     A sparse Gram product: each curve's nonzero coefficients are matched
-    against the earlier curves that are nonzero at the same basis index,
-    so the cost grows with the nonzero coefficients and the pairs that
-    share an index, not with the square of the number of curves.  A pair
-    missing from the result pairs to 0.
+    against the earlier curves that are nonzero at the same basis index.
+    `compress` skips the zeros at C level, and the columns are keyed by
+    the basis indices met, so the Python-level work grows with the
+    nonzero coefficients and the pairs that share an index, not with the
+    rank or the square of the number of curves.  A pair missing from the
+    result pairs to 0.
 
     Raises:
         RankMismatchError: some curve's rank differs from the first's.
     """
     n = len(curves[0].coeffs) if curves else 0
-    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    column: dict[int, list[tuple[int, int]]] = {}
     out: dict[tuple[int, int], int] = {}
     for j, y in enumerate(curves):
-        if len(y.coeffs) != n:
-            raise RankMismatchError(f"rank mismatch: {n} vs {len(y.coeffs)}")
+        coeffs = y.coeffs
+        if len(coeffs) != n:
+            raise RankMismatchError(f"rank mismatch: {n} vs {len(coeffs)}")
         row: dict[int, int] = {}
-        for k, b in enumerate(y.coeffs):
-            if b:
-                earlier = column[k]
-                for i, a in earlier:
-                    row[i] = row.get(i, 0) - a * b
-                earlier.append((j, b))
+        for k in compress(count(), coeffs):
+            b = coeffs[k]
+            earlier = column.get(k)
+            if earlier is None:
+                column[k] = [(j, b)]
+                continue
+            for i, a in earlier:
+                row[i] = row.get(i, 0) - a * b
+            earlier.append((j, b))
         for i, got in row.items():
             if got:
                 out[i, j] = got

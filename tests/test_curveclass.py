@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
+import pickle
 from itertools import product
 
 import pytest
@@ -116,6 +120,49 @@ def test_head_never_sits_in_the_tail():
         TypeA(1, frozenset({1, 2}))
     with pytest.raises(ValueError):
         TypeB(0, frozenset({0}))
+    with pytest.raises(ValueError, match="head 2 may not lie in the tail"):
+        TypeA(2, [0, 2])
+
+
+def test_kind_value_semantics():
+    built = TypeA(0, [2, 1, 2])
+    twin = TypeA(0, frozenset({1, 2}))
+    assert type(built.tail) is frozenset
+    assert built == twin and hash(built) == hash(twin)
+    assert TypeB(3, (1,)) == TypeB(3, frozenset({1}))
+    assert hash(TypeB(3, (1,))) == hash(TypeB(3, frozenset({1})))
+    assert TypeA(0, frozenset({1})) != TypeB(0, frozenset({1}))
+    assert TypeA(head=0, tail=[1, 2]) == twin
+    assert repr(twin) == "TypeA(head=0, tail=frozenset({1, 2}))"
+    assert repr(TypeB(1, ())) == "TypeB(head=1, tail=frozenset())"
+    assert repr(NonCurve(-2)) == "NonCurve(defect=-2)"
+    for cls in (TypeA, TypeB):
+        assert cls.__match_args__ == ("head", "tail")
+        assert [f.name for f in dataclasses.fields(cls)] == ["head", "tail"]
+        assert list(inspect.signature(cls).parameters) == ["head", "tail"]
+    assert NonCurve.__match_args__ == ("defect",)
+    assert [f.name for f in dataclasses.fields(NonCurve)] == ["defect"]
+    match twin:
+        case TypeA(head, tail):
+            assert (head, tail) == (0, frozenset({1, 2}))
+        case _:
+            pytest.fail("TypeA did not match by position")
+
+    for kind, name in ((twin, "head"), (TypeB(1, [0]), "tail"), (NonCurve(3), "defect")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kind, name, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(kind, name)
+        assert pickle.loads(pickle.dumps(kind)) == kind
+        assert copy.deepcopy(kind) == kind and copy.copy(kind) == kind
+        # slotted: the fields are the whole instance
+        assert not hasattr(kind, "__dict__")
+
+    assert dataclasses.replace(twin, head=3) == TypeA(3, frozenset({1, 2}))
+    assert dataclasses.replace(twin, tail=[5]) == TypeA(0, frozenset({5}))
+    assert dataclasses.replace(NonCurve(3), defect=-1) == NonCurve(-1)
+    with pytest.raises(ValueError):
+        dataclasses.replace(twin, head=1)
 
 
 @given(RankedKinds)
@@ -168,6 +215,26 @@ def test_nodal_cycle_class_shapes():
     )
     assert is_nodal_cycle_class(ClassVector((0, 0))) == (False, frozenset())
     assert is_nodal_cycle_class(ClassVector((1, -1))) == (False, None)
+
+
+def _reference_nodal(x):
+    """The per-coefficient nodal test: every coefficient in {0, -1}."""
+    if any(a not in (0, -1) for a in x.coeffs):
+        return False, None
+    support = frozenset(k for k, a in enumerate(x.coeffs) if a == -1)
+    return bool(support), support
+
+
+def test_nodal_cycle_class_matches_the_reference_on_the_box():
+    for n in range(1, 5):
+        for coeffs in product(range(-2, 2), repeat=n):
+            x = ClassVector(coeffs)
+            assert is_nodal_cycle_class(x) == _reference_nodal(x), coeffs
+
+
+@given(SparseVectors)
+def test_nodal_cycle_class_matches_the_reference_on_sparse_vectors(x):
+    assert is_nodal_cycle_class(x) == _reference_nodal(x)
 
 
 def test_compose_chain_merges_adjacent_pairs():

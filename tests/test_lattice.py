@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +93,30 @@ def test_coefficients_must_be_plain_ints():
             ClassVector(bad)
     with pytest.raises(ValueError):
         ClassVector(())
+
+
+@pytest.mark.parametrize(
+    "parse, error",
+    [
+        pytest.param(lambda row: ClassVector(tuple(row)), TypeError, id="constructor"),
+        pytest.param(ClassVector.from_json, SchemaError, id="json"),
+    ],
+)
+def test_coefficient_check_reads_every_position_of_a_long_row(parse, error):
+    row = [0] * 160
+    for pos in range(160):
+        with pytest.raises(error, match="got True"):
+            parse(row[:pos] + [True] + row[pos + 1 :])
+    # the first coefficient that is no plain int is the one named
+    with pytest.raises(error, match="got 1.5"):
+        parse(row[:7] + [1.5] + row[8:80] + [False] + row[81:])
+
+    class Coefficient(IntEnum):
+        ONE = 1
+
+    x = parse(row[:159] + [Coefficient.ONE])
+    assert x.coeffs[159] is Coefficient.ONE
+    assert x == basis(159, 160)
 
 
 @given(VectorPairs)

@@ -13,7 +13,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donlat import (
@@ -472,7 +472,24 @@ def equal_rank_rows(draw):
     return [ClassVector(tuple(r)) for r in draw(st.lists(row, max_size=10))]
 
 
-@given(equal_rank_rows())
+@st.composite
+def long_sparse_rows(draw):
+    """Rows of rank up to 200, mostly zeros, whose few nonzeros sit
+    mostly at the highest labels, where the pass meets labels that no
+    earlier row used."""
+    n = draw(st.integers(9, 200))
+    labels = st.one_of(st.integers(n - 9, n - 1), st.integers(0, n - 1))
+    rows = []
+    for nonzeros in draw(st.lists(st.dictionaries(labels, coefficients, max_size=6), max_size=10)):
+        row = [0] * n
+        for k, a in nonzeros.items():
+            row[k] = a
+        rows.append(ClassVector(tuple(row)))
+    return rows
+
+
+@settings(max_examples=200)
+@given(st.one_of(equal_rank_rows(), long_sparse_rows()))
 def test_pairings_equal_intersect_on_every_pair(curves):
     got = _pairings(curves)
     assert all(i < j for i, j in got) and 0 not in got.values()
@@ -551,6 +568,12 @@ def test_validate_cycle_matches_dense_on_large_cycles():
     sizes = (2, 3, 4, 5, 6, 9, 16, 31, 64)
     cycles = [odd_ih_cycle(s) for s in sizes]
     cycles += [from_selfintersections([rng.randint(2, 4) for _ in range(s)]) for s in sizes]
+    # the benchmark's validate_cycle tail: long cycles at rank 96 to 160,
+    # the last one 64 curves whose tails cover rank 160
+    ks = [3] * 32 + [4] * 32
+    rng.shuffle(ks)
+    cycles += [odd_ih_cycle(96), odd_ih_cycle(160), from_selfintersections(ks)]
+    assert [(cfg.s, cfg.n) for cfg in cycles[-3:]] == [(96, 96), (160, 160), (64, 160)]
     for cfg in cycles:
         assert check_cycle(cfg)
         assert check_cycle(CycleConfig(cfg.n, cfg.curves, None))
