@@ -9,13 +9,16 @@ so they compose in pipes, e.g.
 
 Exit codes: 0 for a valid result, 1 for a well-formed input that fails
 a check (non-curve class, rejected configuration), 2 for malformed
-input or arguments.
+input or arguments, 141 when the reader closes stdout early (as in
+`donlat fixture oddih-300 | head -c 10`; 128 + SIGPIPE, what a shell
+reports for a program killed by that signal).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -42,6 +45,7 @@ __all__ = ["main", "entry"]
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 # longest integer literal accepted; products and sums of such numbers
@@ -248,8 +252,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    # the SIGPIPE recipe of the `signal` module's documentation: flush
+    # inside the try, so a closed pipe raises here and not at exit
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give it nowhere
+        # to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -124,23 +124,6 @@ def _defect(coeffs: Sequence[int]) -> int:
     return 2 - sum(map(mul, coeffs, coeffs)) - sum(coeffs)
 
 
-def _lead(coeffs: Sequence[int]) -> int:
-    """The lead of a curve-shaped coefficient row: 1 for the type A
-    shape, -2 for the type B shape, 0 for anything else.
-
-    A row has a curve shape when exactly one coefficient falls outside
-    {0, -1} and that one is 1 or -2.  The test counts and searches at C
-    level and builds no kind object, for sweeps that need only the shape.
-    """
-    if len(coeffs) - coeffs.count(0) - coeffs.count(-1) != 1:
-        return 0
-    if 1 in coeffs:
-        return 1
-    if -2 in coeffs:
-        return -2
-    return 0
-
-
 def genus_defect(x: ClassVector) -> int:
     """2 - sum_k (a_k^2 + a_k); zero for every rational curve class."""
     return _defect(x.coeffs)

@@ -32,17 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import add, mul, or_, sub
-from typing import Callable, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
-from .curveclass import (
-    CurveKind,
-    TypeA,
-    TypeB,
-    _defect,
-    _kind,
-    _lead,
-    classify,
-)
+from .curveclass import TypeA, TypeB, _defect, _kind
 from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector
@@ -107,6 +100,7 @@ class _Pool(NamedTuple):
     cuts: tuple[int, ...]
     fits: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+    leads: Mapping[tuple[int, ...], int]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -161,6 +155,15 @@ def _pool(n: int) -> _Pool:
     coefficients never decrease inside any cell that P splits the
     labels into (see `enumerate_cycles`).  `rows[i]` is class i's
     coefficient tuple.
+
+    `leads` maps each row to its lead: 1 for type A, -2 for type B.
+    The rows are every curve class of rank n and nothing else, so for
+    any rank-n coefficient tuple x, `leads.get(x, 0)` is x's shape: 1
+    for type A, -2 for type B and 0 for a non-curve.  The sweeps read
+    the shape of their coefficient sums this way, with no second shape
+    test beside `curveclass._kind`.  It is a read-only view, as every
+    other table is immutable: the memoised pool is shared by all
+    callers.
 
     Each table has one entry per class, but each pairing bitset has a
     bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
@@ -231,6 +234,7 @@ def _pool(n: int) -> _Pool:
         cuts,
         tuple(fits),
         rows,
+        MappingProxyType({row: row[h] for row, h in zip(rows, heads)}),
     )
 
 
@@ -639,31 +643,26 @@ class OverlapReport(SweepReport):
     positives: tuple = ()
 
 
-def verify_rational_pattern(
-    n: int, coeff_bound: int, classifier: Callable[[ClassVector], CurveKind] = classify
-) -> SweepReport:
+def verify_rational_pattern(n: int, coeff_bound: int) -> SweepReport:
     """Sweep the full coefficient box [-bound, bound]^n and compare the
     structural classification against the arithmetic one.
 
     A vector is arithmetically a rational curve class iff its genus
     defect vanishes and exactly one coefficient falls outside {0, -1};
-    the classifier must agree on every vector.  Passing a deliberately
-    broken classifier demonstrates that the sweep catches it.  The
-    default classifier, `classify`, reads the plain coefficient tuples;
-    another classifier gets a `ClassVector` per point.  Witnesses are
-    `ClassVector`s either way.  Unlike the other sweeps this one does
-    not read the shape with the cheaper `_lead`: the classifier is what
-    it checks, so it runs on every vector of the box.
+    the classifier, `curveclass._kind` on the plain coefficient tuples
+    (what `classify` reads), must agree on every vector.  Witnesses are
+    `ClassVector`s.  Unlike the other sweeps this one does not read the
+    shape off the pool: the classifier is what it checks, so it runs on
+    every vector of the box.
 
     Raises:
         IndexRangeError: n below 1 or coeff_bound below 0.
     """
     if n < 1 or coeff_bound < 0:
         raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n} and {coeff_bound}")
-    kind = _kind if classifier is classify else lambda coeffs: classifier(ClassVector(coeffs))
     witnesses = []
     for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        structural = isinstance(kind(coeffs), (TypeA, TypeB))
+        structural = isinstance(_kind(coeffs), (TypeA, TypeB))
         outside = n - coeffs.count(0) - coeffs.count(-1)
         arithmetic = outside == 1 and _defect(coeffs) == 0
         if structural != arithmetic:
@@ -679,8 +678,8 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     classes may also fuse to type B; that is how the -2-head of a
     triangle of -3 curves arises.)  This is what `compose_chain` returns
     on such a pair; the sweep reads the pairing and the operand kinds
-    from the pool and reads the shape of the coefficient sum with
-    `_lead`, which builds no kind object.  Only a witness classifies
+    from the pool, and the shape of the coefficient sum from the pool's
+    `leads`, which builds no kind object.  Only a witness classifies
     its sum, so it carries the sum's `CurveKind`.  For pairs
     of two type B classes the pairing must never be positive, so no two
     of them are neighbours in a cycle (`enumerate_cycles` shows from
@@ -692,7 +691,7 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     only at n = 1, which has no type B pair.
     """
     pool = _pool(n)
-    cand, type_b, rows = pool.classes, pool.type_b, pool.rows
+    cand, type_b, rows, leads = pool.classes, pool.type_b, pool.rows, pool.leads
     witnesses = []
     max_bb: int | None = None
     for i, a in enumerate(rows):
@@ -715,7 +714,7 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
                 witnesses.append((cand[i], cand[j], 2 if pool.meets_twice[i] >> j & 1 else 1))
                 continue
             row_sum = tuple(map(add, a, rows[j]))
-            lead = _lead(row_sum)
+            lead = leads.get(row_sum, 0)
             # a type B operand forces the type B shape; two type A
             # operands may sum to either shape
             if (lead != -2) if a_is_b or b_is_b else (lead == 0):
@@ -764,11 +763,11 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
            disjoint.
 
     The two must agree on every chain; chains where they hold are
-    collected in `positives`.  (i) reads each sum's shape with `_lead`,
-    which builds no kind object.  Orientation (see _type_a_chains) is
-    essential: an unorientable chain can satisfy (i) while its end
-    tails share the middle curve's head on top of the type B index,
-    breaking (ii).
+    collected in `positives`.  (i) reads each sum's shape from the
+    pool's `leads`, which builds no kind object.  Orientation (see
+    _type_a_chains) is essential: an unorientable chain can satisfy (i)
+    while its end tails share the middle curve's head on top of the
+    type B index, breaking (ii).
 
     (i) needs only three sums: the whole chain and its two maximal
     strict sub-chains, the chain less A_0 and the chain less A_(j-1).
@@ -805,7 +804,7 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
-    cand, pool_rows = pool.classes, pool.rows
+    cand, pool_rows, leads = pool.classes, pool.rows, pool.leads
     # (ii) compares the tails of every two curves but the two ends
     pairs = [(p, q) for p, q in combinations(range(j), 2) if (p, q) != (0, j - 1)]
     witnesses = []
@@ -815,8 +814,8 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
         # sum, and that sum less either end curve
         rows = [pool_rows[i] for i in chain]
         total = tuple(map(sum, zip(*rows)))
-        cond_i = _lead(total) == -2 and all(
-            _lead(tuple(map(sub, total, end))) == 1 for end in (rows[0], rows[-1])
+        cond_i = leads.get(total, 0) == -2 and all(
+            leads.get(tuple(map(sub, total, end)), 0) == 1 for end in (rows[0], rows[-1])
         )
 
         # (ii) on the tail bitsets

@@ -6,12 +6,16 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import donlat
 from donlat import (
     CycleConfig,
     MaximalDivisorConfig,
@@ -327,6 +331,19 @@ def test_unreadable_json_exits_two(tmp_path, monkeypatch, capsys):
     payload = f'{{"n": 2, "curves": [[{widest}, 0], [{widest}, 0]]}}'
     code, out, _ = run(monkeypatch, capsys, ["validate"], stdin=payload)
     assert code == 1 and "pair-intersection" in out
+
+
+def test_a_closed_pipe_ends_with_141_and_no_traceback():
+    # the fixture's JSON is far larger than a pipe buffer, so the writer
+    # is still writing when the reader closes its end
+    env = {**os.environ, "PYTHONPATH": str(Path(donlat.__file__).parents[1])}
+    argv = [sys.executable, "-m", "donlat.cli", "fixture", "oddih-300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{"cycle": '
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 KEYS = ("n", "curves", "alphas", "cycle", "trees", "chain", "attach")

@@ -34,7 +34,6 @@ from donlat import (
     kind_to_json,
     reconstruct,
 )
-from donlat.curveclass import _lead
 
 Ranks = st.integers(min_value=1, max_value=6)
 
@@ -90,13 +89,6 @@ def test_classify_matches_the_two_pass_reference_on_the_box():
         for coeffs in product(range(-3, 4), repeat=n):
             x = ClassVector(coeffs)
             assert classify(x) == _reference_classify(x), coeffs
-
-
-def test_lead_matches_the_classified_shape_on_the_box():
-    lead_of = {TypeA: 1, TypeB: -2, NonCurve: 0}
-    for n in range(1, 6):
-        for coeffs in product(range(-3, 4), repeat=n):
-            assert _lead(coeffs) == lead_of[type(classify(ClassVector(coeffs)))], coeffs
 
 
 # mostly zeros and curve coefficients, with some far outside the box

@@ -81,8 +81,10 @@ def test_candidate_pool():
     assert len(set(pool)) == len(pool)
     with pytest.raises(IndexRangeError):
         candidate_curve_classes(0)
-    # every curve class has its coefficients in {-2, -1, 0, 1}
-    for n in range(1, 7):
+    # every curve class has its coefficients in {-2, -1, 0, 1}; the
+    # sweeps read a sum's shape off the pool, so it must hold every one
+    # at each rank they run (CI runs the chain dichotomy at rank 8)
+    for n in range(1, 9):
         box = (ClassVector(c) for c in product((-2, -1, 0, 1), repeat=n))
         curves = sorted(
             (v for v in box if isinstance(classify(v), (TypeA, TypeB))), key=lambda v: v.coeffs
@@ -104,6 +106,12 @@ def test_pool_tables_match_intersect_and_classify():
         assert len(pool.not_below) == len(cand)
         for i, mask in enumerate(pool.not_below):
             assert mask == sum(1 << j for j, q in enumerate(pool.squares) if q >= pool.squares[i])
+        # leads.get(x, 0) is the shape of any rank-n row, pool row or not
+        if n <= 5:
+            lead_of = {TypeA: 1, TypeB: -2, NonCurve: 0}
+            for coeffs in product(range(-3, 4), repeat=n):
+                want = lead_of[type(classify(ClassVector(coeffs)))]
+                assert pool.leads.get(coeffs, 0) == want, coeffs
 
 
 def test_pool_bitsets_match_the_pairing_table():
@@ -621,18 +629,12 @@ def test_rational_pattern_rejects_bad_rank_and_bound():
             verify_rational_pattern(n, bound)
 
 
-def test_rational_pattern_catches_a_broken_classifier():
-    seen = []
-
-    def broken(x):
-        seen.append(type(x))
-        return NonCurve(0)
-
-    report = verify_rational_pattern(2, 2, classifier=broken)
+def test_rational_pattern_catches_a_broken_classifier(monkeypatch):
+    # calls every vector a non-curve
+    monkeypatch.setattr(oracle, "_kind", lambda coeffs: NonCurve(0))
+    report = verify_rational_pattern(2, 2)
     assert not report.ok
     assert report.witnesses
-    # a custom classifier gets ClassVectors, and so does the report
-    assert set(seen) == {ClassVector}
     assert all(type(w) is ClassVector for w in report.witnesses)
 
 
@@ -701,13 +703,13 @@ def test_compose_chain_matches_the_sweeps_row_sum_kind():
             row_sum = tuple(map(add, cand[i].coeffs, cand[j].coeffs))
             kind = compose_chain(cand[i], cand[j])
             assert kind == oracle._kind(row_sum), (n, i, j)
-            assert oracle._lead(row_sum) == {TypeA: 1, TypeB: -2}[type(kind)], (n, i, j)
+            assert pool.leads.get(row_sum, 0) == {TypeA: 1, TypeB: -2}[type(kind)], (n, i, j)
 
 
 def test_sweeps_catch_a_broken_shape_test(monkeypatch):
-    lead = oracle._lead
-    # calls every type B shape type A
-    monkeypatch.setattr(oracle, "_lead", lambda coeffs: 1 if lead(coeffs) == -2 else lead(coeffs))
+    # pools whose leads call every row type A
+    broken = {n: _pool(n)._replace(leads=dict.fromkeys(_pool(n).rows, 1)) for n in (3, 4)}
+    monkeypatch.setattr(oracle, "_pool", broken.__getitem__)
     report = verify_chain_dichotomy(3)
     assert not report.ok and report.witnesses
     # the witnesses still carry the sum's kind, from the classifier
