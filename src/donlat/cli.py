@@ -52,6 +52,12 @@ EXIT_BROKEN_PIPE = 141
 # stay well inside Python's 4300-digit limit for printing an int
 _MAX_DIGITS = 1000
 
+# with every ASCII digit read as 0, a text holds an integer literal too
+# long exactly if it holds this many zeros in a row (JSON numbers take
+# ASCII digits only; a long run in a string or a fraction also counts)
+_DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
+_LONG_RUN = "0" * (_MAX_DIGITS + 1)
+
 
 def _parse_int(literal: str) -> int:
     if len(literal.lstrip("-")) > _MAX_DIGITS:
@@ -69,6 +75,10 @@ def _read_json(path: str) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     try:
+        # with no long run of digits, no literal needs the length check,
+        # and the C parser makes no Python call per literal
+        if _LONG_RUN not in raw.translate(_DIGITS_TO_ZERO):
+            return json.loads(raw)
         return json.loads(raw, parse_int=_parse_int)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError is a ValueError; nesting deeper than the

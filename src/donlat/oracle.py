@@ -30,8 +30,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
-from operator import add, mul, or_, sub
+from itertools import product
+from operator import add, and_, mul, or_, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -95,6 +95,7 @@ class _Pool(NamedTuple):
     apart: tuple[int, ...]
     meets_once: tuple[int, ...]
     meets_twice: tuple[int, ...]
+    follows: tuple[int, ...]
     type_b: int
     not_below: tuple[int, ...]
     cuts: tuple[int, ...]
@@ -126,8 +127,10 @@ def _pool(n: int) -> _Pool:
     Pairings between classes are kept only as bitsets over class
     indices (bit j stands for class j): `apart[i]`, `meets_once[i]` and
     `meets_twice[i]` hold the classes pairing 0, 1 and 2 with class i,
-    `type_b` the type B classes and `not_below[i]` the classes whose
-    square is at least class i's.
+    `follows[i]` the type A classes meeting class i once with their
+    head in its tail (those that may follow it in an oriented chain,
+    see `_type_a_chains`), `type_b` the type B classes and
+    `not_below[i]` the classes whose square is at least class i's.
 
     The pairing bitsets come from a closed form.  A class with head h,
     lead l (1 or -2) and tail T pairs with one with head h', lead l'
@@ -165,9 +168,9 @@ def _pool(n: int) -> _Pool:
     other table is immutable: the memoised pool is shared by all
     callers.
 
-    Each table has one entry per class, but each pairing bitset has a
-    bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
-    n = 6, about 2 MB at n = 8) and a cold build still takes a few
+    Each table has one entry per class, but each bitset over classes
+    has a bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
+    n = 6, about 3 MB at n = 8) and a cold build still takes a few
     tenths of a second at n = 8.  So the two ranks used last stay
     memoised: enough for work that alternates between two ranks, such
     as sweeps at n = 5 and n = 6, and no more, since every rank up
@@ -206,6 +209,11 @@ def _pool(n: int) -> _Pool:
         apart.append(hits[0])
         meets_once.append(hits[1])
         meets_twice.append(hits[2])
+    # after[T]: the type A classes with their head in the label set T,
+    # one OR per set from the masks of type A classes per head
+    after = [0]
+    for k in range(n):
+        after += [a | groups.get((k, 1), 0) for a in after]
     gaps = range(1, n)
     cuts = tuple(_mask(k - 1 for k in gaps if row[k] != row[k - 1]) for row in rows)
     # a class fits P when every gap where its coefficients step down
@@ -229,6 +237,7 @@ def _pool(n: int) -> _Pool:
         tuple(apart),
         tuple(meets_once),
         tuple(meets_twice),
+        tuple(map(and_, meets_once, map(after.__getitem__, tails))),
         _mask(i for i, (row, h) in enumerate(zip(rows, heads)) if row[h] == -2),
         tuple(map(by_square.__getitem__, squares)),
         cuts,
@@ -722,31 +731,43 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
-def _type_a_chains(n: int, length: int) -> Iterable[tuple[int, ...]]:
-    """All oriented chains of `length` type A classes, as tuples of
-    indices into `_pool(n).classes`.
+def _type_a_chains(n: int, length: int) -> Iterable[tuple[tuple[int, ...], int]]:
+    """The oriented chains of `length` type A classes, grouped by their
+    first `length - 1` curves: each such prefix once, as a tuple of
+    indices into `_pool(n).classes`, with the bitset of the type A
+    classes that complete it into an oriented chain.  Prefixes that no
+    class completes are not yielded.  Expanding each prefix by the bits
+    of its bitset, low to high, lists the chains in lexicographic order
+    of their indices.
 
     Oriented means numbered the way chains inside cycles always are:
     each class carries the next curve's head in its tail.  A chain
     whose middle curve meets both neighbours through its own head
-    admits no such numbering and is excluded.
+    admits no such numbering and is excluded.  So orienting a step is
+    one AND with the pool's `follows`: class j may follow class i when
+    it is type A, meets i once and has its head in i's tail.
     """
     pool = _pool(n)
-    heads, tails, meets_once, apart = pool.heads, pool.tails, pool.meets_once, pool.apart
-    everything = (1 << len(heads)) - 1
+    follows, apart = pool.follows, pool.apart
+    everything = (1 << len(follows)) - 1
     type_a = everything & ~pool.type_b
+    if length == 1:
+        yield (), type_a
+        return
 
-    def extend(seq: list[int], free: int) -> Iterable[tuple[int, ...]]:
+    def extend(seq: list[int], free: int) -> Iterable[tuple[tuple[int, ...], int]]:
         # free: the classes meeting none of seq[:-1]
-        if len(seq) == length:
-            yield tuple(seq)
-            return
         last = seq[-1]
-        for j in _bits(meets_once[last] & free & type_a):
-            if tails[last] >> heads[j] & 1:
-                seq.append(j)
-                yield from extend(seq, free & apart[last])
-                seq.pop()
+        nxt = follows[last] & free
+        if len(seq) == length - 1:
+            if nxt:
+                yield tuple(seq), nxt
+            return
+        free &= apart[last]
+        for j in _bits(nxt):
+            seq.append(j)
+            yield from extend(seq, free)
+            seq.pop()
 
     for root in _bits(type_a):
         yield from extend([root], everything)
@@ -800,32 +821,72 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     non-neighbours at j >= 4.  Last, A_0.A_(j-1) = 0 gives
     |U_0 & U_(j-1)| = [d_0 in U_(j-1)] - [d_0 = d_(j-1)], since
     d_(j-1) lies in U_(j-2), which misses U_0; that is at most 1.
+
+    The sweep pays per prefix of j - 1 curves, as `_type_a_chains`
+    yields them, rather than per chain.  It keeps the row sums, tail
+    ORs and disjointness of the previous prefix's leading curves up to
+    the first curve where the two prefixes differ, so it forms sums
+    only for yielded prefixes.  The prefix sum is the chain less
+    A_(j-1), whatever class c completes it, so its lead is looked up
+    once per prefix; the chain sum and the chain less A_0 are the
+    prefix sum and the prefix sum less A_0, each plus c's row: two
+    tuple additions per chain.  For (ii), as computed above, the tail
+    pairs other than the ends split into those inside the prefix, which
+    do not depend on c, and those of c with a middle curve A_1 ..
+    A_(j-2), which are all disjoint exactly when t_c misses the OR of
+    the middle tails.  So (ii) holds exactly when the prefix's tails
+    are pairwise disjoint (once per prefix), t_0 & t_c is nonzero and
+    t_c & (OR of the middle tails) is zero: three bit tests.  With the
+    prefix disjoint, that OR is the prefix's OR with t_0's bits
+    removed.  A prefix whose sum is not type A fails (i) with every c,
+    and one whose tails are not disjoint fails (ii) with every c; a
+    prefix that does both is skipped.
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
-    cand, pool_rows, leads = pool.classes, pool.rows, pool.leads
-    # (ii) compares the tails of every two curves but the two ends
-    pairs = [(p, q) for p, q in combinations(range(j), 2) if (p, q) != (0, j - 1)]
+    cand, rows, tails, leads = pool.classes, pool.rows, pool.tails, pool.leads
     witnesses = []
     positives = []
-    for chain in _type_a_chains(n, j):
-        # (i) by plain coefficient arithmetic on the rows: the chain
-        # sum, and that sum less either end curve
-        rows = [pool_rows[i] for i in chain]
-        total = tuple(map(sum, zip(*rows)))
-        cond_i = leads.get(total, 0) == -2 and all(
-            leads.get(tuple(map(sub, total, end)), 0) == 1 for end in (rows[0], rows[-1])
-        )
-
-        # (ii) on the tail bitsets
-        tails = [pool.tails[i] for i in chain]
-        cond_ii = bool(tails[0] & tails[j - 1]) and not any(
-            tails[p] & tails[q] for p, q in pairs
-        )
-
-        if cond_i != cond_ii:
-            witnesses.append(tuple(cand[i] for i in chain))
-        elif cond_i:
-            positives.append(tuple(cand[i] for i in chain))
+    # states[k]: for the first k curves of the current prefix, their
+    # row sum, the OR of their tails and whether those are disjoint
+    states = [((0,) * n, 0, True)]
+    # no class has index -1, so the first prefix shares no curve with it
+    last_prefix = (-1,) * (j - 1)
+    for prefix, ends in _type_a_chains(n, j):
+        # keep the states of the leading curves shared with the last
+        # prefix; two prefixes of one length differ somewhere
+        shared = 0
+        while prefix[shared] == last_prefix[shared]:
+            shared += 1
+        del states[shared + 1 :]
+        for i in prefix[shared:]:
+            total, tail_or, disjoint = states[-1]
+            t = tails[i]
+            disjoint = disjoint and not tail_or & t
+            states.append((tuple(map(add, total, rows[i])), tail_or | t, disjoint))
+        last_prefix = prefix
+        # the prefix sum is the chain less A_(j-1); less A_0 as well, it
+        # is the middle curves' sum
+        less_last, tail_or, disjoint = states[-1]
+        less_last_a = leads.get(less_last, 0) == 1
+        if not (less_last_a or disjoint):
+            continue
+        middle_sum = tuple(map(sub, less_last, rows[prefix[0]]))
+        t_first = tails[prefix[0]]
+        middle_tails = tail_or ^ t_first
+        for c in _bits(ends):
+            row, t = rows[c], tails[c]
+            # (i) by plain coefficient arithmetic on the rows
+            cond_i = (
+                less_last_a
+                and leads.get(tuple(map(add, less_last, row)), 0) == -2
+                and leads.get(tuple(map(add, middle_sum, row)), 0) == 1
+            )
+            # (ii) on the tail bitsets
+            cond_ii = disjoint and bool(t_first & t) and not t & middle_tails
+            if cond_i != cond_ii:
+                witnesses.append(tuple(cand[i] for i in (*prefix, c)))
+            elif cond_i:
+                positives.append(tuple(cand[i] for i in (*prefix, c)))
     return OverlapReport(not witnesses, tuple(witnesses), tuple(positives))

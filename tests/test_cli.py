@@ -26,7 +26,7 @@ from donlat import (
     fixture,
     to_dot,
 )
-from donlat import oracle
+from donlat import cli, oracle
 from donlat.cli import main
 
 
@@ -331,6 +331,26 @@ def test_unreadable_json_exits_two(tmp_path, monkeypatch, capsys):
     payload = f'{{"n": 2, "curves": [[{widest}, 0], [{widest}, 0]]}}'
     code, out, _ = run(monkeypatch, capsys, ["validate"], stdin=payload)
     assert code == 1 and "pair-intersection" in out
+
+
+def test_json_reader_takes_the_plain_parser_only_without_long_digit_runs(
+    tmp_path, monkeypatch, capsys
+):
+    # a 1001-digit literal is still refused, on either sign
+    for literal in ("1" + "0" * 1000, "-1" + "0" * 1000):
+        code, out, err = run(monkeypatch, capsys, ["classify"], stdin=f"[{literal}, 0]")
+        assert (code, out, err) == (2, "", "error: integer literal longer than 1000 digits\n")
+    # a 1001-digit run in a string or a fraction is no integer literal
+    raw = '{"note": "' + "7" * 1001 + '", "x": [1, -2, 1.' + "0" * 1001 + "]}"
+    path = tmp_path / "long.json"
+    path.write_text(raw)
+    assert cli._read_json(str(path)) == json.loads(raw)
+    # fixtures read back as written, the largest through the plain parser
+    for name in ("ex333", "ih522342", "kato522332", "oddih-1024"):
+        code, out, _ = run(monkeypatch, capsys, ["fixture", name])
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert cli._read_json("-") == fixture(name).to_json(), name
 
 
 def test_a_closed_pipe_ends_with_141_and_no_traceback():

@@ -226,13 +226,53 @@ def _is_oriented_chain(chain):
     return True
 
 
+def _chains(n, length):
+    """The whole chains of `_type_a_chains(n, length)`: each yielded
+    prefix completed by the bits of its bitset, low to high."""
+    return [(*prefix, c) for prefix, ends in _type_a_chains(n, length) for c in _bits(ends)]
+
+
+def _reference_type_a_chains(n, length):
+    """The chain walk one whole chain at a time, testing the orientation
+    of each child on its own: a plain reference for `_type_a_chains`."""
+    pool = _pool(n)
+    heads, tails, meets_once, apart = pool.heads, pool.tails, pool.meets_once, pool.apart
+    everything = (1 << len(heads)) - 1
+    type_a = everything & ~pool.type_b
+
+    def extend(seq, free):
+        # free: the classes meeting none of seq[:-1]
+        if len(seq) == length:
+            yield tuple(seq)
+            return
+        last = seq[-1]
+        for j in _bits(meets_once[last] & free & type_a):
+            if tails[last] >> heads[j] & 1:
+                seq.append(j)
+                yield from extend(seq, free & apart[last])
+                seq.pop()
+
+    for root in _bits(type_a):
+        yield from extend([root], everything)
+
+
+def test_type_a_chains_match_the_whole_chain_walk():
+    for n in range(1, 7):
+        for length in range(1, n + 1):
+            walk = list(_type_a_chains(n, length))
+            # each prefix once, and only those that some class completes
+            assert all(ends for _, ends in walk), (n, length)
+            assert len({prefix for prefix, _ in walk}) == len(walk), (n, length)
+            assert _chains(n, length) == list(_reference_type_a_chains(n, length)), (n, length)
+
+
 def test_type_a_chains_match_a_naive_filter():
     for n in range(1, 5):
         cand = candidate_curve_classes(n)
         type_a = [c for c in cand if isinstance(classify(c), TypeA)]
         for length in range(1, 4):
             naive = [c for c in product(type_a, repeat=length) if _is_oriented_chain(c)]
-            got = [tuple(cand[i] for i in chain) for chain in _type_a_chains(n, length)]
+            got = [tuple(cand[i] for i in chain) for chain in _chains(n, length)]
             assert got == naive, (n, length)
 
 
@@ -717,13 +757,17 @@ def test_sweeps_catch_a_broken_shape_test(monkeypatch):
         assert type(merged) is TypeB and merged == classify(a + b), (a, b)
     report = verify_internonvide(4, 3)
     assert not report.ok and report.witnesses
+    # leads that call every row type B: (i) never holds, so each of the
+    # 24 chains meeting (ii) is a witness, also where no sum is type A
+    broken = {4: _pool(4)._replace(leads=dict.fromkeys(_pool(4).rows, -2))}
+    monkeypatch.setattr(oracle, "_pool", broken.__getitem__)
+    report = verify_internonvide(4, 3)
+    assert len(report.witnesses) == 24 and report.positives == ()
 
 
 def test_internonvide_sweep():
     positives = {}
-    # at n = 6 only j = 2, 3 and 6; j = 4 and 5 take about a second each
-    # and run in CI's larger-rank sweeps
-    cases = [(n, j) for n in range(2, 6) for j in range(2, n + 1)] + [(6, 2), (6, 3), (6, 6)]
+    cases = [(n, j) for n in range(2, 7) for j in range(2, n + 1)]
     for n, j in cases:
         report = verify_internonvide(n, j)
         assert report.ok and report.witnesses == (), (n, j)
@@ -742,6 +786,8 @@ def test_internonvide_sweep():
         (5, 5): 0,
         (6, 2): 3240,
         (6, 3): 5760,
+        (6, 4): 3600,
+        (6, 5): 720,
         (6, 6): 0,
     }
     with pytest.raises(IndexRangeError):
@@ -754,7 +800,7 @@ def _reference_internonvide(n, j):
     cand = candidate_curve_classes(n)
     witnesses = []
     positives = []
-    for indices in _type_a_chains(n, j):
+    for indices in _chains(n, j):
         chain = tuple(cand[i] for i in indices)
         kinds = [classify(c) for c in chain]
         heads = {k.head for k in kinds}
