@@ -243,7 +243,21 @@ def cycle_class(cfg: CycleConfig) -> CycleClass:
     D_(s-2) meet the closing curve.  Either way the cycle class C has
     sum_k (c_k^2 + c_k) = 0.  As c^2 + c > 0 for every integer outside
     {0, -1}, C = -e_I, so C.C = -|I| and `betti_check`'s value s - C.C
-    is s + |I|.  The error below fires only on unvalidated input.
+    is s + |I|.
+
+    Curves of rank n force |I| = n.  At s >= 2 each curve meets the
+    others twice in all, so C.D_j = D_j.D_j + 2 = 2 - k_j for its
+    square -k_j, and C = -e_I makes C.D_j the sum of D_j's coefficients
+    on I.  Every curve class x has coefficient sum 2 + x.x (1 - |T| for
+    e_d - e_T, -2 - |T| for -2 e_d - e_T), so D_j's coefficients
+    outside I sum to 0.  A type B curve, and a type A curve with its
+    head in I, have no positive coefficient outside I, so they lie
+    inside I; a type A curve with its head outside I has exactly one
+    tail label outside I.  So on the labels J outside I every curve
+    reads 0 or e_d - e_t, and all curves lie in the hyperplane where
+    the coefficients on J sum to 0: if J is nonempty their rank is at
+    most n - 1.  (`oracle.census` uses this for cycles of n + 1
+    curves.)  The error below fires only on unvalidated input.
 
     Raises:
         NotNodalFormError: some coefficient of the sum is outside {0, -1}.

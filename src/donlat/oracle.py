@@ -1,8 +1,8 @@
 """Exhaustive verification over small ranks.
 
-Everything here is brute force on purpose: candidate curve classes in
-rank n are the n * 2^n vectors of type A or type B shape, and cycles,
-chains and coefficient boxes are swept in full so the structural claims
+Everything here is exhaustive on purpose: candidate curve classes in
+rank n are the n * 2^n vectors of type A or type B shape, and every
+cycle, chain and coefficient box is decided so the structural claims
 made elsewhere in the package can be checked rather than trusted.
 
 With symmetry on, the cycle search is an orderly generation (Read
@@ -19,6 +19,15 @@ The squares of the curves decide most acceptances: only the rotations
 and reflections that start at a least square are tried, and their
 columns are sorted only when their squares tie the found cycle's.
 
+The chain sweeps, `verify_chain_dichotomy` and `verify_internonvide`,
+decide on the same kind of representatives: the cell rule, placing one
+class at a time, meets every orbit of pairs or chains under label
+permutations, and relabelling keeps every condition they test.  The
+full orbits are listed only for the pairs and chains a report returns.
+`verify_rational_pattern` sweeps its whole box: the classifier
+`curveclass._kind` is what it checks, and deciding one point per orbit
+would assume that the classifier treats all labels alike.
+
 `enumerate_cycles` and `census` cap the rank (default 5, override via
 the DONLAT_CAP environment variable or an explicit argument) to keep
 them interactive.  The `verify_*` sweeps take no cap.
@@ -30,12 +39,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import groupby, permutations, product
 from operator import add, and_, mul, or_, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .curveclass import TypeA, TypeB, _defect, _kind
+from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
 from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector
@@ -102,6 +111,7 @@ class _Pool(NamedTuple):
     fits: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     leads: Mapping[tuple[int, ...], int]
+    index: Mapping[tuple[int, ...], int]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -164,9 +174,10 @@ def _pool(n: int) -> _Pool:
     any rank-n coefficient tuple x, `leads.get(x, 0)` is x's shape: 1
     for type A, -2 for type B and 0 for a non-curve.  The sweeps read
     the shape of their coefficient sums this way, with no second shape
-    test beside `curveclass._kind`.  It is a read-only view, as every
-    other table is immutable: the memoised pool is shared by all
-    callers.
+    test beside `curveclass._kind`.  `index` maps each row to its pool
+    index, so a relabelled row finds its class (see `_orbits`).  Both
+    are read-only views, as every other table is immutable: the
+    memoised pool is shared by all callers.
 
     Each table has one entry per class, but each bitset over classes
     has a bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
@@ -244,6 +255,7 @@ def _pool(n: int) -> _Pool:
         tuple(fits),
         rows,
         MappingProxyType({row: row[h] for row, h in zip(rows, heads)}),
+        MappingProxyType({row: i for i, row in enumerate(rows)}),
     )
 
 
@@ -596,11 +608,22 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     with I holding every label, and the partition case needs
     |I| = n - s.
 
-    The range s <= n is a choice, not a theorem.  Cycles of n + 1
-    curves exist: 1, 1, 3, 7, 22 and 66 classes for n = 1..6, all with
-    |I| = n, so Inadmissible (value 2n + 1).  Whether s <= n + 1 always
-    holds, and whether some (n + 1)-cycle has |I| = n - 1 (which would
-    read OddIH), is open.
+    No cycle has more than n + 1 curves.  At s >= 3 the Gram matrix of
+    the curves is cyclic tridiagonal, and a kernel vector x is fixed by
+    (x_0, x_1), since its rows give x_(i+1) = k_i x_i - x_(i-1) for the
+    squares -k_i.  So the kernel has dimension at most 2.  If it had
+    dimension 2, some nonzero kernel vector would have x_0 = 0.  The
+    lattice is negative definite, so a kernel vector is a linear
+    relation among the curves, here among D_1, ..., D_(s-1), which form
+    a chain; but the curves of a chain are linearly independent (the
+    proof is in `_type_a_chains`).  So the curves of a cycle have rank
+    at least s - 1, and s <= n + 1.  The table stops at s = n since the
+    rows of s = n + 1 would all read Inadmissible: curves of rank n
+    force |I| = n (`cycle.cycle_class`), so an (n + 1)-cycle has the
+    value 2n + 1.  They exist: 1, 1, 3, 7, 22 and 66 classes for
+    n = 1..6.  Likewise an n-cycle whose curves are independent has
+    |I| = n and reads OddIH.  Whether every OddIH n-cycle has
+    independent curves is open; up to n = 7 they all do.
 
     Raises:
         CapExceededError: n exceeds the configured cap.
@@ -698,47 +721,104 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     one.  From n = 2 on the type B classes -2 e_0 and -2 e_1 pair to 0,
     so some type B pair always lands in a bitset; the maximum stays None
     only at n = 1, which has no type B pair.
+
+    The sweep decides on orbit representatives.  A label permutation
+    keeps kinds, pairings and the shape of every sum, so a pair fails
+    exactly when each pair of its orbit does, and its pairing is the
+    orbit's.  The cell rule of `enumerate_cycles`, placing the pair one
+    class at a time, meets every orbit of ordered pairs: the first class
+    from `fits[0]`, the second from `fits[cuts[first]]`.  Both tests are
+    symmetric in the two classes, so these ordered pairs stand for all
+    unordered ones, the maximum among them is the maximum over all, and
+    `ok` is decided on them.  Only when some representative fails are
+    the orbits of the failing ones listed (`_orbits`); each pair i < j
+    of them is tested again, as the full sweep would test it, and the
+    failing ones are the witnesses, in index order.  A fault planted
+    in the pool or the shape table that breaks label symmetry can thus
+    go unseen: a failing pair whose orbit's representatives pass is
+    never listed.
     """
     pool = _pool(n)
     cand, type_b, rows, leads = pool.classes, pool.type_b, pool.rows, pool.leads
-    witnesses = []
+    meets_once, meets_twice, cuts, fits = pool.meets_once, pool.meets_twice, pool.cuts, pool.fits
+
+    def fault(i: int, j: int) -> CurveKind | int | None:
+        # the last entry of the witness if classes i and j pair (by i's
+        # bitsets: once, or twice when both are type B) and fail, else None
+        both_b = type_b >> i & type_b >> j & 1
+        if not (meets_once[i] >> j & 1 or both_b and meets_twice[i] >> j & 1):
+            return None
+        if both_b:
+            return 2 if meets_twice[i] >> j & 1 else 1
+        row_sum = tuple(map(add, rows[i], rows[j]))
+        lead = leads.get(row_sum, 0)
+        # a type B operand forces the type B shape; two type A operands
+        # may sum to either shape
+        if (lead != -2) if (type_b >> i | type_b >> j) & 1 else (lead == 0):
+            return _kind(row_sum)
+        return None
+
+    failed = []
     max_bb: int | None = None
-    for i, a in enumerate(rows):
-        a_is_b = type_b >> i & 1
-        later = ~((2 << i) - 1)
-        # the classes j > i meeting class i once, and the type B ones
-        # meeting it twice when it is type B too
-        pairs = pool.meets_once[i] & later
-        if a_is_b:
-            bb = type_b & later
+    for r in _bits(fits[0]):
+        # r itself fits its cells, but its square is negative, so it is
+        # in none of its own pairing bitsets
+        partners = fits[cuts[r]]
+        pairs = meets_once[r] & partners
+        if type_b >> r & 1:
+            bb = type_b & partners
             # the pool files pairings of 2, 1 and 0; lower ones are left out
-            for got, hits in ((2, pool.meets_twice), (1, pool.meets_once), (0, pool.apart)):
-                if bb & hits[i]:
+            for got, hits in ((2, meets_twice), (1, meets_once), (0, pool.apart)):
+                if bb & hits[r]:
                     max_bb = got if max_bb is None else max(max_bb, got)
                     break
-            pairs |= bb & pool.meets_twice[i]
-        for j in _bits(pairs):
-            b_is_b = type_b >> j & 1
-            if a_is_b and b_is_b:
-                witnesses.append((cand[i], cand[j], 2 if pool.meets_twice[i] >> j & 1 else 1))
-                continue
-            row_sum = tuple(map(add, a, rows[j]))
-            lead = leads.get(row_sum, 0)
-            # a type B operand forces the type B shape; two type A
-            # operands may sum to either shape
-            if (lead != -2) if a_is_b or b_is_b else (lead == 0):
-                witnesses.append((cand[i], cand[j], _kind(row_sum)))
+            pairs |= bb & meets_twice[r]
+        failed += ((r, p) for p in _bits(pairs) if fault(r, p) is not None)
+    witnesses = []
+    # each unordered pair of the failing orbits once, lower index first
+    for i, j in sorted({(a, b) if a < b else (b, a) for a, b in _orbits(pool, failed)}):
+        got = fault(i, j)
+        if got is not None:
+            witnesses.append((cand[i], cand[j], got))
     return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
 
+def _orbits(pool: _Pool, seqs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every relabelling of the given sequences of pool indices, each
+    once, sorted: the union of their orbits under label permutations.
+
+    A label permutation rearranges the coefficient columns of a
+    sequence's rows and maps each curve class to a curve class, so each
+    distinct rearrangement of the columns is one member, and the pool's
+    `index` finds its classes.  The sorted columns are the same for
+    every member of an orbit and differ between orbits, so they name
+    it: an orbit that several of the sequences lie in is listed once,
+    and distinct orbits share no member.  Each orbit takes n!
+    rearrangements, with repeats dropped at C speed: 720 at n = 6 and
+    40,320 at n = 8.
+    """
+    rows, index = pool.rows, pool.index
+    named = set()
+    members = []
+    for seq in seqs:
+        columns = sorted(zip(*map(rows.__getitem__, seq)))
+        name = tuple(columns)
+        if name not in named:
+            named.add(name)
+            members += (tuple(map(index.__getitem__, zip(*a))) for a in set(permutations(columns)))
+    members.sort()
+    return members
+
+
 def _type_a_chains(n: int, length: int) -> Iterable[tuple[tuple[int, ...], int]]:
-    """The oriented chains of `length` type A classes, grouped by their
-    first `length - 1` curves: each such prefix once, as a tuple of
-    indices into `_pool(n).classes`, with the bitset of the type A
-    classes that complete it into an oriented chain.  Prefixes that no
-    class completes are not yielded.  Expanding each prefix by the bits
-    of its bitset, low to high, lists the chains in lexicographic order
-    of their indices.
+    """The oriented chains of `length` type A classes whose coefficients
+    keep the cell rule of `enumerate_cycles`, grouped by their first
+    `length - 1` curves: each such prefix once, as a tuple of indices
+    into `_pool(n).classes`, with the bitset of the type A classes that
+    complete it into such a chain.  Prefixes that no class completes
+    are not yielded.  Expanding each prefix by the bits of its bitset,
+    low to high, lists the chains in lexicographic order of their
+    indices.
 
     Oriented means numbered the way chains inside cycles always are:
     each class carries the next curve's head in its tail.  A chain
@@ -746,19 +826,41 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[tuple[int, ...], int]]
     admits no such numbering and is excluded.  So orienting a step is
     one AND with the pool's `follows`: class j may follow class i when
     it is type A, meets i once and has its head in i's tail.
+
+    The cell rule takes the roots from `fits[0]`, ANDs each step with
+    `fits[cells]` and carries `cells | cuts[j]`, as `_cycle_prefixes`
+    does.  The walk places one class at a time, so the proof in
+    `enumerate_cycles` covers it: it meets every orbit of oriented
+    chains under label permutations at least once (the chain with its
+    columns sorted, for one), and `_orbits` lists the rest.
+
+    No chain has more than n curves: the curves of a chain are linearly
+    independent.  Write sigma(x) for the coefficient sum of a class x;
+    every curve class has sigma(x) = 2 + x.x, as both sides read 1 - |T|
+    for e_d - e_T and -2 - |T| for -2 e_d - e_T.  Take a chain D_1, ...,
+    D_m of curve classes (neighbours pair 1, all other pairs 0) with
+    squares -k_i and Gram matrix G.  The lattice is negative definite,
+    so sum_i x_i D_i = 0 exactly when G x = 0, and L = -G is positive
+    semidefinite, tridiagonal and irreducible, with -1 off the
+    diagonal.  If L were singular, Perron-Frobenius would give a kernel
+    vector with every x_i > 0.  Its rows say k_i x_i = x_(i-1) + x_(i+1)
+    with x_0 = x_(m+1) = 0, so sum_i k_i x_i = 2 sum_i x_i - x_1 - x_m,
+    and sigma(sum_i x_i D_i) = sum_i x_i (2 - k_i) = x_1 + x_m > 0.  But
+    that sum is 0.  So G is regular, and m <= n.
     """
     pool = _pool(n)
-    follows, apart = pool.follows, pool.apart
+    follows, apart, cuts, fits = pool.follows, pool.apart, pool.cuts, pool.fits
     everything = (1 << len(follows)) - 1
-    type_a = everything & ~pool.type_b
+    roots = everything & ~pool.type_b & fits[0]
     if length == 1:
-        yield (), type_a
+        yield (), roots
         return
 
-    def extend(seq: list[int], free: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        # free: the classes meeting none of seq[:-1]
+    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple[tuple[int, ...], int]]:
+        # free: the classes meeting none of seq[:-1]; cells: the gaps
+        # between labels some placed curve tells apart
         last = seq[-1]
-        nxt = follows[last] & free
+        nxt = follows[last] & free & fits[cells]
         if len(seq) == length - 1:
             if nxt:
                 yield tuple(seq), nxt
@@ -766,11 +868,11 @@ def _type_a_chains(n: int, length: int) -> Iterable[tuple[tuple[int, ...], int]]
         free &= apart[last]
         for j in _bits(nxt):
             seq.append(j)
-            yield from extend(seq, free)
+            yield from extend(seq, free, cells | cuts[j])
             seq.pop()
 
-    for root in _bits(type_a):
-        yield from extend([root], everything)
+    for root in _bits(roots):
+        yield from extend([root], everything, cuts[root])
 
 
 def verify_internonvide(n: int, j: int) -> OverlapReport:
@@ -841,19 +943,51 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     removed.  A prefix whose sum is not type A fails (i) with every c,
     and one whose tails are not disjoint fails (ii) with every c; a
     prefix that does both is skipped.
+
+    The sweep decides on orbit representatives.  A label permutation
+    keeps kinds, pairings, orientation, the shape of every sum and how
+    tails meet, so (i) and (ii) hold on a chain exactly when they hold
+    on each chain of its orbit.  `_type_a_chains` meets every orbit, so
+    the loop runs first over its representative chains.  The orbits of
+    those on which (i) or (ii) holds are listed (`_orbits`) and the
+    same loop runs again over the members, grouped by prefix: they
+    hold every chain on which either condition holds, and each chain
+    listed as a witness or a positive has passed the test itself.
+    Sorted, they come out in the order of the full walk.  A fault
+    planted in the pool or the shape table that breaks label symmetry
+    can thus go unseen: a failing chain whose orbit's representatives
+    meet neither condition is never listed.
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
-    cand, rows, tails, leads = pool.classes, pool.rows, pool.tails, pool.leads
+    cand = pool.classes
+    marked = [chain for chain, _, _ in _overlaps(pool, j, _type_a_chains(n, j))]
+    # their orbits' members as `_type_a_chains` yields chains: each
+    # prefix once, with the bitset of the classes that end it
+    members = groupby(_orbits(pool, marked), lambda chain: chain[:-1])
+    grouped = ((prefix, _mask(chain[-1] for chain in group)) for prefix, group in members)
     witnesses = []
     positives = []
+    for chain, cond_i, cond_ii in _overlaps(pool, j, grouped):
+        (witnesses if cond_i != cond_ii else positives).append(tuple(map(cand.__getitem__, chain)))
+    return OverlapReport(not witnesses, tuple(witnesses), tuple(positives))
+
+
+def _overlaps(
+    pool: _Pool, j: int, prefixes: Iterable[tuple[tuple[int, ...], int]]
+) -> Iterable[tuple[tuple[int, ...], bool, bool]]:
+    """The per-prefix loop of `verify_internonvide` over chains of j
+    curves given as `_type_a_chains` yields them: each chain on which
+    (i) or (ii) holds, in the order given, with the two conditions."""
+    n = len(pool.rows[0])
+    rows, tails, leads = pool.rows, pool.tails, pool.leads
     # states[k]: for the first k curves of the current prefix, their
     # row sum, the OR of their tails and whether those are disjoint
     states = [((0,) * n, 0, True)]
     # no class has index -1, so the first prefix shares no curve with it
     last_prefix = (-1,) * (j - 1)
-    for prefix, ends in _type_a_chains(n, j):
+    for prefix, ends in prefixes:
         # keep the states of the leading curves shared with the last
         # prefix; two prefixes of one length differ somewhere
         shared = 0
@@ -885,8 +1019,5 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
             )
             # (ii) on the tail bitsets
             cond_ii = disjoint and bool(t_first & t) and not t & middle_tails
-            if cond_i != cond_ii:
-                witnesses.append(tuple(cand[i] for i in (*prefix, c)))
-            elif cond_i:
-                positives.append(tuple(cand[i] for i in (*prefix, c)))
-    return OverlapReport(not witnesses, tuple(witnesses), tuple(positives))
+            if cond_i or cond_ii:
+                yield (*prefix, c), cond_i, cond_ii

@@ -45,6 +45,7 @@ from donlat import (
 )
 from donlat import oracle
 from donlat.oracle import (
+    DichotomyReport,
     _bits,
     _canonical_classes,
     _cycle_prefixes,
@@ -173,6 +174,7 @@ def test_pool_cells_match_a_direct_check():
         pool = _pool(n)
         rows = [c.coeffs for c in pool.classes]
         assert pool.rows == tuple(rows)
+        assert dict(pool.index) == {row: i for i, row in enumerate(rows)}
         for i, row in enumerate(rows):
             changes = [k for k in range(1, n) if row[k] != row[k - 1]]
             assert pool.cuts[i] == sum(1 << (k - 1) for k in changes)
@@ -227,14 +229,15 @@ def _is_oriented_chain(chain):
 
 
 def _chains(n, length):
-    """The whole chains of `_type_a_chains(n, length)`: each yielded
-    prefix completed by the bits of its bitset, low to high."""
-    return [(*prefix, c) for prefix, ends in _type_a_chains(n, length) for c in _bits(ends)]
+    """The whole chains of `_reference_type_a_chains(n, length)`, listed:
+    the full walk the sweeps are checked against."""
+    return list(_reference_type_a_chains(n, length))
 
 
 def _reference_type_a_chains(n, length):
-    """The chain walk one whole chain at a time, testing the orientation
-    of each child on its own: a plain reference for `_type_a_chains`."""
+    """The chain walk one whole chain at a time over every root, testing
+    the orientation of each child on its own and using no cells: a
+    plain reference for `_type_a_chains` and its orbits."""
     pool = _pool(n)
     heads, tails, meets_once, apart = pool.heads, pool.tails, pool.meets_once, pool.apart
     everything = (1 << len(heads)) - 1
@@ -256,14 +259,51 @@ def _reference_type_a_chains(n, length):
         yield from extend([root], everything)
 
 
+def _relabelled(pool, seq):
+    """Every relabelling of a sequence of pool indices, through all n!
+    label permutations applied to its rows one by one."""
+    n = len(pool.rows[0])
+    index = {row: i for i, row in enumerate(pool.rows)}
+    return {
+        tuple(index[tuple(pool.rows[i][k] for k in perm)] for i in seq)
+        for perm in permutations(range(n))
+    }
+
+
 def test_type_a_chains_match_the_whole_chain_walk():
+    # the representative walk keeps the cell rule, and the orbits of its
+    # chains are the whole walk, in its order
     for n in range(1, 7):
+        pool = _pool(n)
         for length in range(1, n + 1):
             walk = list(_type_a_chains(n, length))
             # each prefix once, and only those that some class completes
             assert all(ends for _, ends in walk), (n, length)
             assert len({prefix for prefix, _ in walk}) == len(walk), (n, length)
-            assert _chains(n, length) == list(_reference_type_a_chains(n, length)), (n, length)
+            reps = [(*prefix, c) for prefix, ends in walk for c in _bits(ends)]
+            assert reps == sorted(reps), (n, length)
+            whole = _chains(n, length)
+            assert set(reps) <= set(whole), (n, length)
+            assert oracle._orbits(pool, reps) == whole, (n, length)
+
+
+def test_orbits_are_the_relabellings():
+    # _orbits against all n! label permutations, one orbit at a time and
+    # with several sequences of one orbit given at once
+    for n in range(1, 5):
+        pool = _pool(n)
+        for length in range(1, n + 1):
+            for seq in _chains(n, length):
+                orbit = _relabelled(pool, seq)
+                assert oracle._orbits(pool, [seq]) == sorted(orbit), (n, seq)
+                assert oracle._orbits(pool, [seq, *orbit]) == sorted(orbit), (n, seq)
+
+
+def test_no_chain_is_longer_than_the_rank():
+    # the curves of a chain are linearly independent (the proof is in
+    # _type_a_chains), so no chain of n + 1 curves exists
+    for n in range(1, 7):
+        assert list(_type_a_chains(n, n + 1)) == [], n
 
 
 def test_type_a_chains_match_a_naive_filter():
@@ -604,14 +644,22 @@ def test_value_is_s_plus_the_support_size():
 
 
 def test_cycles_one_longer_than_the_rank():
-    # census stops at s = n by choice: (n + 1)-cycles exist, and up to
-    # n = 6 each has |I| = n, so reads Inadmissible at value 2n + 1
+    # s <= n + 1 is a theorem (census's docstring), and the curves of an
+    # (n + 1)-cycle have rank n, which forces |I| = n (cycle_class): up
+    # to n = 6 each reads Inadmissible at value 2n + 1
     counts = []
     for n in range(1, 7):
         cycles = enumerate_cycles(n, n + 1, cap=7)
         counts.append(len(cycles))
         assert {betti_check(cfg) for cfg in cycles} == {(CycleVerdict.INADMISSIBLE, 2 * n + 1)}, n
+        assert {len(cycle_class(cfg).support) for cfg in cycles} == {n}, n
     assert counts == [1, 1, 3, 7, 22, 66]
+
+
+def test_no_cycle_is_two_longer_than_the_rank():
+    # the curves of a cycle of s curves have rank at least s - 1
+    for n in range(1, 7):
+        assert enumerate_cycles(n, n + 2, cap=n + 2) == (), n
 
 
 def test_census_builds_no_cycle_config(monkeypatch):
@@ -691,30 +739,56 @@ def test_chain_dichotomy_at_rank_seven():
     assert report.max_type_b_pairing == 0
 
 
-def test_chain_dichotomy_composes_exactly_the_once_meeting_pairs(monkeypatch):
-    operands = []
+def _reference_chain_dichotomy(n):
+    """The dichotomy sweep over every pair i < j of pool classes, in index
+    order, with no orbits: a plain reference for `verify_chain_dichotomy`,
+    on whatever pool `oracle._pool` gives."""
+    pool = oracle._pool(n)
+    cand, type_b, rows, leads = pool.classes, pool.type_b, pool.rows, pool.leads
+    witnesses = []
+    max_bb = None
+    for i, a in enumerate(rows):
+        a_is_b = type_b >> i & 1
+        later = ~((2 << i) - 1)
+        # the classes j > i meeting class i once, and the type B ones
+        # meeting it twice when it is type B too
+        pairs = pool.meets_once[i] & later
+        if a_is_b:
+            bb = type_b & later
+            for got, hits in ((2, pool.meets_twice), (1, pool.meets_once), (0, pool.apart)):
+                if bb & hits[i]:
+                    max_bb = got if max_bb is None else max(max_bb, got)
+                    break
+            pairs |= bb & pool.meets_twice[i]
+        for j in _bits(pairs):
+            b_is_b = type_b >> j & 1
+            if a_is_b and b_is_b:
+                witnesses.append((cand[i], cand[j], 2 if pool.meets_twice[i] >> j & 1 else 1))
+                continue
+            row_sum = tuple(map(add, a, rows[j]))
+            lead = leads.get(row_sum, 0)
+            if (lead != -2) if a_is_b or b_is_b else (lead == 0):
+                witnesses.append((cand[i], cand[j], classify(ClassVector(row_sum))))
+    return DichotomyReport(not witnesses, tuple(witnesses), max_bb)
 
-    def recorded(x, y):
-        operands.append((x, y))
-        return x + y
 
-    monkeypatch.setattr(oracle, "add", recorded)
-    for n in range(1, 7):
-        operands.clear()
-        cand = candidate_curve_classes(n)
-        is_b = [isinstance(classify(c), TypeB) for c in cand]
-        pairs = list(combinations(range(len(cand)), 2))
+def test_chain_dichotomy_matches_the_full_pair_sweep(monkeypatch):
+    for n in range(1, 8):
+        assert verify_chain_dichotomy(n) == _reference_chain_dichotomy(n), n
+        if n <= 6:
+            # the maximum type B pairing, by intersect on every pair
+            cand = candidate_curve_classes(n)
+            bb = [c for c in cand if isinstance(classify(c), TypeB)]
+            pairings = [intersect(a, b) for a, b in combinations(bb, 2)]
+            assert verify_chain_dichotomy(n).max_type_b_pairing == max(pairings, default=None)
+    # and on pools whose leads call every row type A, where every pair
+    # with a type B operand fails: the orbits list the same witnesses
+    for n in (3, 4, 5):
+        broken = _pool(n)._replace(leads=dict.fromkeys(_pool(n).rows, 1))
+        monkeypatch.setattr(oracle, "_pool", lambda n: broken)
         report = verify_chain_dichotomy(n)
-        # the sweep adds each pair's rows coefficient by coefficient, so
-        # every n recorded additions spell out the two rows of one pair
-        summed = [tuple(zip(*operands[k : k + n])) for k in range(0, len(operands), n)]
-        assert summed == [
-            (cand[i].coeffs, cand[j].coeffs)
-            for i, j in pairs
-            if intersect(cand[i], cand[j]) == 1 and is_b[i] + is_b[j] <= 1
-        ], n
-        bb = [intersect(cand[i], cand[j]) for i, j in pairs if is_b[i] and is_b[j]]
-        assert report.max_type_b_pairing == max(bb, default=None), n
+        assert report == _reference_chain_dichotomy(n) and not report.ok, n
+        monkeypatch.undo()
 
 
 def test_chain_dichotomy_reports_two_type_b_classes_meeting_once(monkeypatch):
