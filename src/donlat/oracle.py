@@ -23,7 +23,10 @@ The chain sweeps, `verify_chain_dichotomy` and `verify_internonvide`,
 decide on the same kind of representatives: the cell rule, placing one
 class at a time, meets every orbit of pairs or chains under label
 permutations, and relabelling keeps every condition they test.  The
-full orbits are listed only for the pairs and chains a report returns.
+cycle search and the chain sweep of `verify_internonvide` share one
+depth-first walk, `_walk`, the one place the cell rule and the chain
+constraints are written.  The full orbits are listed only for the
+pairs and chains a report returns.
 `verify_rational_pattern` sweeps its whole box: the classifier
 `curveclass._kind` is what it checks, and deciding one point per orbit
 would assume that the classifier treats all labels alike.
@@ -46,7 +49,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
 from .cycle import CycleConfig, CycleVerdict, _verdict
-from .errors import CapExceededError, IndexRangeError, SchemaError
+from .errors import CapExceededError, IndexRangeError, RankMismatchError, SchemaError
 from .lattice import ClassVector
 
 __all__ = [
@@ -70,16 +73,20 @@ _CAP_ENV = "DONLAT_CAP"
 
 def effective_cap(cap: int | None = None) -> int:
     """Resolve the enumeration cap: argument, then environment, then 5.
-    A non-integer environment value raises SchemaError."""
+    An environment value other than ASCII digits raises SchemaError."""
     if cap is not None:
         return cap
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_CAP
     try:
+        # int() alone would also take signs, spaces, underscores and
+        # non-ASCII digits
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(raw)
         return int(raw)
     except ValueError:
-        raise SchemaError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise SchemaError(f"{_CAP_ENV} must be an integer in ASCII digits, got {raw!r}") from None
 
 
 def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
@@ -98,7 +105,6 @@ def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
 
 class _Pool(NamedTuple):
     classes: tuple[ClassVector, ...]
-    heads: tuple[int, ...]
     tails: tuple[int, ...]
     squares: tuple[int, ...]
     apart: tuple[int, ...]
@@ -130,16 +136,16 @@ def _bits(mask: int) -> Iterable[int]:
 @lru_cache(maxsize=2)
 def _pool(n: int) -> _Pool:
     """The candidate classes of rank n with the tables every search of
-    the oracle reads instead of building its own: their heads, their
-    tails as bitsets over basis labels (bit k of `tails[i]` stands for
-    label k) and their squares.
+    the oracle reads instead of building its own: their tails as
+    bitsets over basis labels (bit k of `tails[i]` stands for label k)
+    and their squares.
 
     Pairings between classes are kept only as bitsets over class
     indices (bit j stands for class j): `apart[i]`, `meets_once[i]` and
     `meets_twice[i]` hold the classes pairing 0, 1 and 2 with class i,
     `follows[i]` the type A classes meeting class i once with their
     head in its tail (those that may follow it in an oriented chain,
-    see `_type_a_chains`), `type_b` the type B classes and
+    see `verify_internonvide`), `type_b` the type B classes and
     `not_below[i]` the classes whose square is at least class i's.
 
     The pairing bitsets come from a closed form.  A class with head h,
@@ -242,7 +248,6 @@ def _pool(n: int) -> _Pool:
     by_square = {v: _mask(i for i, q in enumerate(squares) if q >= v) for v in set(squares)}
     return _Pool(
         cand,
-        heads,
         tails,
         squares,
         tuple(apart),
@@ -282,9 +287,17 @@ def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     coefficient columns, so only the 2s dihedral orders need explicit
     trying.  The self-intersections are compared first and do not
     depend on the columns, so columns are sorted only for the orders
-    whose sequence of squares is the least.
+    whose sequence of squares is the least.  A cycle of no curves is
+    returned as it is.
+
+    Raises:
+        RankMismatchError: some curve's rank is not the cycle's n.
     """
     rows = tuple(c.coeffs for c in cfg.curves)
+    if not rows:
+        return cfg
+    if any(len(row) != cfg.n for row in rows):
+        raise RankMismatchError(f"rank mismatch: a curve's rank is not {cfg.n}")
     orders = _dihedral_orders(len(rows))
     squares = tuple(-sum(map(mul, row, row)) for row in rows) * 2
     rows *= 2
@@ -411,49 +424,91 @@ def _within_cap(n: int, s: int, cap: int | None) -> None:
         raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
 
 
+def _walk(
+    pool: _Pool, step: tuple[int, ...], roots: int, free: tuple[int, ...], depth: int
+) -> Iterable[tuple[tuple[int, ...], int, int, int]]:
+    """The depth-first walk of the cycle search and the chain sweep: each
+    sequence of `depth` pool indices that keeps the rules below once, in
+    lexicographic order, as (seq, nxt, free, cells).
+
+    A sequence starts at a root in `roots & fits[0]`.  A class may come
+    after its last class `last` when it is in `step[last]` and in
+    `free[root]`, pairs 0 with every placed class but `last`, and keeps
+    the cell rule of `enumerate_cycles`: it is in `fits[cells]`, where
+    `cells` is the OR of the placed classes' `cuts`.  A sequence of
+    `depth` classes is yielded only if some class may come after it,
+    with `nxt`, the bitset of those classes, and `free`, the classes of
+    `free[root]` that pair 0 with every placed class after the root
+    (a cycle's closing class meets the root).
+
+    The walk places one class at a time, so the proof in
+    `enumerate_cycles` covers it: when label permutations keep `step`,
+    `roots` and `free`, it meets every orbit of such sequences under
+    them at least once (the sequence with its columns sorted, for one).
+
+    With `step` inside `meets_once` each sequence is a chain (neighbours
+    pair 1, all other pairs 0), and no chain has more than n curves:
+    the curves of a chain are linearly independent.  Write sigma(x) for
+    the coefficient sum of a class x; every curve class has sigma(x) =
+    2 + x.x, as both sides read 1 - |T| for e_d - e_T and -2 - |T| for
+    -2 e_d - e_T.  Take a chain D_1, ..., D_m of curve classes with
+    squares -k_i and Gram matrix G.  The lattice is negative definite,
+    so sum_i x_i D_i = 0 exactly when G x = 0, and L = -G is positive
+    semidefinite, tridiagonal and irreducible, with -1 off the
+    diagonal.  If L were singular, Perron-Frobenius would give a kernel
+    vector with every x_i > 0.  Its rows say k_i x_i = x_(i-1) + x_(i+1)
+    with x_0 = x_(m+1) = 0, so sum_i k_i x_i = 2 sum_i x_i - x_1 - x_m,
+    and sigma(sum_i x_i D_i) = sum_i x_i (2 - k_i) = x_1 + x_m > 0.  But
+    that sum is 0.  So G is regular, and m <= n.
+    """
+    apart, cuts, fits = pool.apart, pool.cuts, pool.fits
+
+    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple]:
+        # free: the classes of free[root] meeting none of the placed
+        # classes after the root; cells: the gaps between labels some
+        # placed class tells apart
+        last = seq[-1]
+        nxt = step[last] & free & fits[cells]
+        if len(seq) > 1:
+            nxt &= apart[seq[0]]
+            free &= apart[last]
+        if len(seq) < depth:
+            for j in _bits(nxt):
+                seq.append(j)
+                yield from extend(seq, free, cells | cuts[j])
+                seq.pop()
+        elif nxt:
+            yield tuple(seq), nxt, free, cells
+
+    for root in _bits(roots & fits[0]):
+        yield from extend([root], free[root], cuts[root])
+
+
 def _cycle_prefixes(pool: _Pool, s: int) -> Iterable[tuple[tuple[int, ...], int]]:
     """The search of `enumerate_cycles` for s >= 2: each prefix of s - 1
     pool indices once, with the bitset of the classes that close it
     into a cycle.  It prunes only through the pool's `cuts`, `fits` and
     `not_below` tables, so tables that prune nothing make it the raw
     search."""
-    meets_once, apart = pool.meets_once, pool.apart
-    cuts, fits, not_below = pool.cuts, pool.fits, pool.not_below
+    meets_once, cuts, fits, not_below = pool.meets_once, pool.cuts, pool.fits, pool.not_below
     if s == 2:
         for f in _bits(fits[0]):
             yield (f,), pool.meets_twice[f] & fits[cuts[f]] & not_below[f]
         return
-
-    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        # free: the classes meeting none of the interior curves and not
-        # below the root; cells: the gaps between labels some placed
-        # curve tells apart
-        root, last = seq[0], seq[-1]
-        nxt = meets_once[last] & free & fits[cells]
-        if len(seq) > 1:
-            nxt &= apart[root]
-            free &= apart[last]
-        if len(seq) < s - 2:
-            for j in _bits(nxt):
-                seq.append(j)
-                yield from extend(seq, free, cells | cuts[j])
-                seq.pop()
-            return
+    # the canonical rotation starts at a minimal square, so some sibling
+    # root finds any class with a smaller one: each root's curves are
+    # not below it
+    for seq, nxt, free, cells in _walk(pool, meets_once, fits[0], not_below, s - 2):
         # each seq + [j] is a prefix of s - 1 classes, closed by the
         # classes meeting both j and the root; the reflected path closes
         # with the larger of the two squares next to the root and finds
         # any cycle this one drops
-        close = meets_once[root] & free
+        close = meets_once[seq[0]] & free
         for j in _bits(nxt):
             closing = meets_once[j] & close & fits[cells | cuts[j]]
             closing &= not_below[seq[1] if len(seq) > 1 else j]
             if closing:
                 yield (*seq, j), closing
-
-    for f in _bits(fits[0]):
-        # the canonical rotation starts at a minimal square, so some
-        # sibling root finds any class with a smaller one
-        yield from extend([f], not_below[f], cuts[f])
 
 
 def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
@@ -616,8 +671,8 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
     lattice is negative definite, so a kernel vector is a linear
     relation among the curves, here among D_1, ..., D_(s-1), which form
     a chain; but the curves of a chain are linearly independent (the
-    proof is in `_type_a_chains`).  So the curves of a cycle have rank
-    at least s - 1, and s <= n + 1.  The table stops at s = n since the
+    proof is in `_walk`).  So the curves of a cycle have rank at least
+    s - 1, and s <= n + 1.  The table stops at s = n since the
     rows of s = n + 1 would all read Inadmissible: curves of rank n
     force |I| = n (`cycle.cycle_class`), so an (n + 1)-cycle has the
     value 2n + 1.  They exist: 1, 1, 3, 7, 22 and 66 classes for
@@ -810,71 +865,6 @@ def _orbits(pool: _Pool, seqs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
     return members
 
 
-def _type_a_chains(n: int, length: int) -> Iterable[tuple[tuple[int, ...], int]]:
-    """The oriented chains of `length` type A classes whose coefficients
-    keep the cell rule of `enumerate_cycles`, grouped by their first
-    `length - 1` curves: each such prefix once, as a tuple of indices
-    into `_pool(n).classes`, with the bitset of the type A classes that
-    complete it into such a chain.  Prefixes that no class completes
-    are not yielded.  Expanding each prefix by the bits of its bitset,
-    low to high, lists the chains in lexicographic order of their
-    indices.
-
-    Oriented means numbered the way chains inside cycles always are:
-    each class carries the next curve's head in its tail.  A chain
-    whose middle curve meets both neighbours through its own head
-    admits no such numbering and is excluded.  So orienting a step is
-    one AND with the pool's `follows`: class j may follow class i when
-    it is type A, meets i once and has its head in i's tail.
-
-    The cell rule takes the roots from `fits[0]`, ANDs each step with
-    `fits[cells]` and carries `cells | cuts[j]`, as `_cycle_prefixes`
-    does.  The walk places one class at a time, so the proof in
-    `enumerate_cycles` covers it: it meets every orbit of oriented
-    chains under label permutations at least once (the chain with its
-    columns sorted, for one), and `_orbits` lists the rest.
-
-    No chain has more than n curves: the curves of a chain are linearly
-    independent.  Write sigma(x) for the coefficient sum of a class x;
-    every curve class has sigma(x) = 2 + x.x, as both sides read 1 - |T|
-    for e_d - e_T and -2 - |T| for -2 e_d - e_T.  Take a chain D_1, ...,
-    D_m of curve classes (neighbours pair 1, all other pairs 0) with
-    squares -k_i and Gram matrix G.  The lattice is negative definite,
-    so sum_i x_i D_i = 0 exactly when G x = 0, and L = -G is positive
-    semidefinite, tridiagonal and irreducible, with -1 off the
-    diagonal.  If L were singular, Perron-Frobenius would give a kernel
-    vector with every x_i > 0.  Its rows say k_i x_i = x_(i-1) + x_(i+1)
-    with x_0 = x_(m+1) = 0, so sum_i k_i x_i = 2 sum_i x_i - x_1 - x_m,
-    and sigma(sum_i x_i D_i) = sum_i x_i (2 - k_i) = x_1 + x_m > 0.  But
-    that sum is 0.  So G is regular, and m <= n.
-    """
-    pool = _pool(n)
-    follows, apart, cuts, fits = pool.follows, pool.apart, pool.cuts, pool.fits
-    everything = (1 << len(follows)) - 1
-    roots = everything & ~pool.type_b & fits[0]
-    if length == 1:
-        yield (), roots
-        return
-
-    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        # free: the classes meeting none of seq[:-1]; cells: the gaps
-        # between labels some placed curve tells apart
-        last = seq[-1]
-        nxt = follows[last] & free & fits[cells]
-        if len(seq) == length - 1:
-            if nxt:
-                yield tuple(seq), nxt
-            return
-        free &= apart[last]
-        for j in _bits(nxt):
-            seq.append(j)
-            yield from extend(seq, free, cells | cuts[j])
-            seq.pop()
-
-    for root in _bits(roots):
-        yield from extend([root], everything, cuts[root])
-
-
 def verify_internonvide(n: int, j: int) -> OverlapReport:
     """Sweep all oriented chains of j type A curves and compare two
     conditions:
@@ -887,10 +877,21 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
 
     The two must agree on every chain; chains where they hold are
     collected in `positives`.  (i) reads each sum's shape from the
-    pool's `leads`, which builds no kind object.  Orientation (see
-    _type_a_chains) is essential: an unorientable chain can satisfy (i)
-    while its end tails share the middle curve's head on top of the
-    type B index, breaking (ii).
+    pool's `leads`, which builds no kind object.
+
+    Oriented means numbered the way chains inside cycles always are:
+    each class carries the next curve's head in its tail.  A chain
+    whose middle curve meets both neighbours through its own head
+    admits no such numbering and is excluded.  Orientation is
+    essential: an unorientable chain can satisfy (i) while its end
+    tails share the middle curve's head on top of the type B index,
+    breaking (ii).  So each step is one AND with the pool's `follows`:
+    class c may follow class i when it is type A, meets i once and has
+    its head in i's tail.  The chains come from `_walk` over `follows`
+    from the type A roots, grouped by their first j - 1 curves: each
+    such prefix once, with the bitset of the classes that complete it.
+    Expanding each prefix by the bits of its bitset, low to high, lists
+    the chains in lexicographic order of their pool indices.
 
     (i) needs only three sums: the whole chain and its two maximal
     strict sub-chains, the chain less A_0 and the chain less A_(j-1).
@@ -924,11 +925,11 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     |U_0 & U_(j-1)| = [d_0 in U_(j-1)] - [d_0 = d_(j-1)], since
     d_(j-1) lies in U_(j-2), which misses U_0; that is at most 1.
 
-    The sweep pays per prefix of j - 1 curves, as `_type_a_chains`
-    yields them, rather than per chain.  It keeps the row sums, tail
-    ORs and disjointness of the previous prefix's leading curves up to
-    the first curve where the two prefixes differ, so it forms sums
-    only for yielded prefixes.  The prefix sum is the chain less
+    The sweep pays per prefix of j - 1 curves, as `_walk` yields them,
+    rather than per chain.  It keeps the row sums, tail ORs and
+    disjointness of the previous prefix's leading curves up to the
+    first curve where the two prefixes differ, so it forms sums only
+    for yielded prefixes.  The prefix sum is the chain less
     A_(j-1), whatever class c completes it, so its lead is looked up
     once per prefix; the chain sum and the chain less A_0 are the
     prefix sum and the prefix sum less A_0, each plus c's row: two
@@ -947,24 +948,27 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     The sweep decides on orbit representatives.  A label permutation
     keeps kinds, pairings, orientation, the shape of every sum and how
     tails meet, so (i) and (ii) hold on a chain exactly when they hold
-    on each chain of its orbit.  `_type_a_chains` meets every orbit, so
-    the loop runs first over its representative chains.  The orbits of
-    those on which (i) or (ii) holds are listed (`_orbits`) and the
-    same loop runs again over the members, grouped by prefix: they
-    hold every chain on which either condition holds, and each chain
-    listed as a witness or a positive has passed the test itself.
-    Sorted, they come out in the order of the full walk.  A fault
-    planted in the pool or the shape table that breaks label symmetry
-    can thus go unseen: a failing chain whose orbit's representatives
-    meet neither condition is never listed.
+    on each chain of its orbit.  `_walk` meets every orbit, so the loop
+    runs first over its representative chains.  The orbits of those on
+    which (i) or (ii) holds are listed (`_orbits`) and the same loop
+    runs again over the members, grouped by prefix: they hold every
+    chain on which either condition holds, and each chain listed as a
+    witness or a positive has passed the test itself.  Sorted, they
+    come out in the order of the full walk.  A fault planted in the
+    pool or the shape table that breaks label symmetry can thus go
+    unseen: a failing chain whose orbit's representatives meet neither
+    condition is never listed.
     """
     if j < 2:
         raise IndexRangeError(f"chains need length >= 2, got {j}")
     pool = _pool(n)
     cand = pool.classes
-    marked = [chain for chain, _, _ in _overlaps(pool, j, _type_a_chains(n, j))]
-    # their orbits' members as `_type_a_chains` yields chains: each
-    # prefix once, with the bitset of the classes that end it
+    everything = (1 << len(cand)) - 1
+    free = (everything,) * len(cand)
+    chains = _walk(pool, pool.follows, everything & ~pool.type_b, free, j - 1)
+    marked = [chain for chain, _, _ in _overlaps(pool, j, chains)]
+    # their orbits' members as `_walk` yields chains: each prefix once,
+    # with the bitset of the classes that end it
     members = groupby(_orbits(pool, marked), lambda chain: chain[:-1])
     grouped = ((prefix, _mask(chain[-1] for chain in group)) for prefix, group in members)
     witnesses = []
@@ -975,11 +979,12 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
 
 
 def _overlaps(
-    pool: _Pool, j: int, prefixes: Iterable[tuple[tuple[int, ...], int]]
+    pool: _Pool, j: int, prefixes: Iterable[tuple]
 ) -> Iterable[tuple[tuple[int, ...], bool, bool]]:
     """The per-prefix loop of `verify_internonvide` over chains of j
-    curves given as `_type_a_chains` yields them: each chain on which
-    (i) or (ii) holds, in the order given, with the two conditions."""
+    curves given as `_walk` yields them, each prefix first with the
+    bitset of the classes that end it: each chain on which (i) or (ii)
+    holds, in the order given, with the two conditions."""
     n = len(pool.rows[0])
     rows, tails, leads = pool.rows, pool.tails, pool.leads
     # states[k]: for the first k curves of the current prefix, their
@@ -987,7 +992,7 @@ def _overlaps(
     states = [((0,) * n, 0, True)]
     # no class has index -1, so the first prefix shares no curve with it
     last_prefix = (-1,) * (j - 1)
-    for prefix, ends in prefixes:
+    for prefix, ends, *_ in prefixes:
         # keep the states of the leading curves shared with the last
         # prefix; two prefixes of one length differ somewhere
         shared = 0

@@ -6,6 +6,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 from operator import add
@@ -21,6 +22,7 @@ from donlat import (
     CycleVerdict,
     IndexRangeError,
     NonCurve,
+    RankMismatchError,
     SchemaError,
     TypeA,
     TypeB,
@@ -52,7 +54,7 @@ from donlat.oracle import (
     _dihedral_orders,
     _mask,
     _pool,
-    _type_a_chains,
+    _walk,
 )
 
 SelfIntLists = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
@@ -100,7 +102,7 @@ def test_pool_tables_match_intersect_and_classify():
         assert cand == candidate_curve_classes(n)
         kinds = [classify(a) for a in cand]
         for i, a in enumerate(cand):
-            assert pool.heads[i] == kinds[i].head
+            assert _head(pool.rows[i]) == kinds[i].head
             assert pool.tails[i] == sum(1 << k for k in kinds[i].tail)
             assert pool.squares[i] == intersect(a, a)
         assert pool.type_b == sum(1 << i for i, k in enumerate(kinds) if isinstance(k, TypeB))
@@ -217,6 +219,11 @@ def test_orbit_roots_meet_every_basis_permutation_orbit_once():
         assert seen == set(cand)
 
 
+def _head(row):
+    """The label of a curve class's lead, the one coefficient outside {0, -1}."""
+    return next(k for k, a in enumerate(row) if a not in (0, -1))
+
+
 def _is_oriented_chain(chain):
     for p, q in combinations(range(len(chain)), 2):
         meet = intersect(chain[p], chain[q])
@@ -237,9 +244,10 @@ def _chains(n, length):
 def _reference_type_a_chains(n, length):
     """The chain walk one whole chain at a time over every root, testing
     the orientation of each child on its own and using no cells: a
-    plain reference for `_type_a_chains` and its orbits."""
+    plain reference for the chains of `_type_a_walk` and their orbits."""
     pool = _pool(n)
-    heads, tails, meets_once, apart = pool.heads, pool.tails, pool.meets_once, pool.apart
+    tails, meets_once, apart = pool.tails, pool.meets_once, pool.apart
+    heads = [_head(row) for row in pool.rows]
     everything = (1 << len(heads)) - 1
     type_a = everything & ~pool.type_b
 
@@ -259,6 +267,17 @@ def _reference_type_a_chains(n, length):
         yield from extend([root], everything)
 
 
+def _type_a_walk(n, length):
+    """The oriented type A chains of `length` >= 2 curves that keep the
+    cell rule, as `verify_internonvide` walks them: each prefix of
+    `length - 1` classes with the bitset of the classes that complete it."""
+    pool = _pool(n)
+    m = len(pool.rows)
+    everything = (1 << m) - 1
+    walk = _walk(pool, pool.follows, everything & ~pool.type_b, (everything,) * m, length - 1)
+    return [(prefix, ends) for prefix, ends, _, _ in walk]
+
+
 def _relabelled(pool, seq):
     """Every relabelling of a sequence of pool indices, through all n!
     label permutations applied to its rows one by one."""
@@ -275,8 +294,8 @@ def test_type_a_chains_match_the_whole_chain_walk():
     # chains are the whole walk, in its order
     for n in range(1, 7):
         pool = _pool(n)
-        for length in range(1, n + 1):
-            walk = list(_type_a_chains(n, length))
+        for length in range(2, n + 1):
+            walk = _type_a_walk(n, length)
             # each prefix once, and only those that some class completes
             assert all(ends for _, ends in walk), (n, length)
             assert len({prefix for prefix, _ in walk}) == len(walk), (n, length)
@@ -301,9 +320,9 @@ def test_orbits_are_the_relabellings():
 
 def test_no_chain_is_longer_than_the_rank():
     # the curves of a chain are linearly independent (the proof is in
-    # _type_a_chains), so no chain of n + 1 curves exists
+    # _walk), so no chain of n + 1 curves exists
     for n in range(1, 7):
-        assert list(_type_a_chains(n, n + 1)) == [], n
+        assert _type_a_walk(n, n + 1) == [], n
 
 
 def test_type_a_chains_match_a_naive_filter():
@@ -495,6 +514,20 @@ def test_canonicalize_cycle_keeps_no_memory():
     assert held < 50_000, held
 
 
+def test_canonicalize_cycle_refuses_a_rank_mismatch():
+    # a curve of rank 2 in a rank-3 cycle, and every curve of rank 2
+    short = CycleConfig(3, (ClassVector((1, -1, 0)), ClassVector((0, 1))), None)
+    narrow = CycleConfig(3, (ClassVector((1, -1)), ClassVector((-1, 1))), None)
+    for cfg in (short, narrow):
+        with pytest.raises(RankMismatchError):
+            canonicalize_cycle(cfg)
+
+
+def test_canonicalize_cycle_returns_an_empty_cycle():
+    cfg = CycleConfig(3, (), None)
+    assert canonicalize_cycle(cfg) == cfg
+
+
 def _one_per_row_set(raw):
     """One ordered cycle per set of classes.  The classes of a cycle
     close up in one dihedral order only (pairing 1 with the neighbours,
@@ -656,6 +689,69 @@ def test_cycles_one_longer_than_the_rank():
     assert counts == [1, 1, 3, 7, 22, 66]
 
 
+def _with_row(basis, row):
+    """The echelon basis `basis`, a dict from pivot column to an integer
+    row whose first nonzero entry is there, with `row` added; `basis`
+    itself when row lies in the rational span of its rows.  Fraction-free
+    elimination in pivot order clears every pivot column of row."""
+    for p in sorted(basis):
+        if row[p]:
+            b = basis[p]
+            row = [b[p] * x - row[p] * y for x, y in zip(row, b)]
+    lead = next((k for k, x in enumerate(row) if x), None)
+    return basis if lead is None else {**basis, lead: row}
+
+
+def _rank(rows):
+    """The rank of integer rows over the rationals."""
+    return len(reduce(_with_row, rows, {}))
+
+
+def _rank_faults(n, s):
+    """The classes of `enumerate_cycles(n, s)` whose curves break a rank
+    claim of `census`: a nullity above 1, or rank n with |I| < n."""
+    faults = []
+    for cfg in enumerate_cycles(n, s, cap=max(n, s)):
+        rank = _rank([c.coeffs for c in cfg.curves])
+        if s - rank > 1 or rank == n and len(cycle_class(cfg).support) != n:
+            faults.append(cfg)
+    return faults
+
+
+def test_cycle_curves_have_nullity_at_most_one():
+    # the curves of an s-cycle have rank at least s - 1, and rank n
+    # forces |I| = n (census, cycle_class); CI runs rank 8
+    for n in range(1, 8):
+        for s in range(2, n + 2):
+            assert _rank_faults(n, s) == [], (n, s)
+
+
+def test_the_curves_of_a_chain_are_independent():
+    # every chain of curve classes (neighbours pair 1, all other pairs
+    # 0) by a plain walk with no cells, orientation or kinds: each class
+    # added to a chain grows the rank of its rows (the proof is in
+    # _walk), and the longest chain has n curves
+    for n in range(1, 6):
+        pool = _pool(n)
+        rows, meets_once, apart = pool.rows, pool.meets_once, pool.apart
+        longest = 0
+
+        def extend(seq, free, basis):
+            # free: the classes meeting none of seq[:-1]
+            nonlocal longest
+            longest = max(longest, len(seq))
+            last = seq[-1]
+            for j in _bits(meets_once[last] & free):
+                grown = _with_row(basis, rows[j])
+                assert len(grown) == len(seq) + 1, (n, (*seq, j))
+                extend((*seq, j), free & apart[last], grown)
+
+        everything = (1 << len(rows)) - 1
+        for root in range(len(rows)):
+            extend((root,), everything, _with_row({}, rows[root]))
+        assert longest == n, n
+
+
 def test_no_cycle_is_two_longer_than_the_rank():
     # the curves of a cycle of s curves have rank at least s - 1
     for n in range(1, 7):
@@ -699,9 +795,12 @@ def test_cap_environment_override(monkeypatch):
     monkeypatch.setenv("DONLAT_CAP", "6")
     assert effective_cap() == 6
     assert effective_cap(3) == 3  # explicit argument wins
-    monkeypatch.setenv("DONLAT_CAP", "six")
-    with pytest.raises(SchemaError):
-        effective_cap()
+    # ASCII digits only: int() alone would take an underscore, a sign,
+    # a space or a full-width digit
+    for raw in ("six", "1_0", "+6", " 6", "\uff16"):
+        monkeypatch.setenv("DONLAT_CAP", raw)
+        with pytest.raises(SchemaError):
+            effective_cap()
 
 
 def test_rational_pattern_sweep():
