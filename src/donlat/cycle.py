@@ -32,6 +32,7 @@ from .errors import (
     InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
+    RankMismatchError,
     RankTooSmallError,
     SchemaError,
     SingleCurveError,
@@ -377,7 +378,13 @@ def odd_ih_cycle(n: int) -> CycleConfig:
 
 
 def selfintersections(cfg: CycleConfig) -> tuple[int, ...]:
-    """Self-intersection of each curve, in cycle order (negative values)."""
+    """Self-intersection of each curve, in cycle order (negative values).
+
+    Raises:
+        RankMismatchError: some curve's rank is not the cycle's n.
+    """
+    if any(c.n != cfg.n for c in cfg.curves):
+        raise RankMismatchError(f"rank mismatch: a curve's rank is not {cfg.n}")
     return tuple(square(c) for c in cfg.curves)
 
 
@@ -386,6 +393,9 @@ def cycle_notation(cfg: CycleConfig) -> str:
 
     Digits are concatenated while every entry stays below 10; larger
     entries switch to comma separation.
+
+    Raises:
+        RankMismatchError: some curve's rank is not the cycle's n.
     """
     ks = [-v for v in selfintersections(cfg)]
     if all(k <= 9 for k in ks):
@@ -397,15 +407,16 @@ def intersection_matrix(cfg: CycleConfig) -> tuple[tuple[int, ...], ...]:
     """Full pairwise intersection matrix in the stored curve order.
 
     Raises:
-        RankMismatchError: some curve's rank differs from the first's.
+        RankMismatchError: some curve's rank is not the cycle's n.
     """
+    diagonal = selfintersections(cfg)
     pairs = _pairings(cfg.curves)
     return tuple(
         tuple(
-            square(a) if i == j else pairs.get((min(i, j), max(i, j)), 0)
+            diagonal[i] if i == j else pairs.get((min(i, j), max(i, j)), 0)
             for j in range(cfg.s)
         )
-        for i, a in enumerate(cfg.curves)
+        for i in range(cfg.s)
     )
 
 

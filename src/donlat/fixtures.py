@@ -24,7 +24,7 @@ from __future__ import annotations
 from .cycle import CycleConfig, from_selfintersections, odd_ih_cycle
 from .divisor import MaximalDivisorConfig, TreeConfig
 from .errors import UnknownFixtureError
-from .lattice import ClassVector
+from .lattice import ClassVector, _ascii_int
 
 __all__ = ["FIXTURE_NAMES", "fixture"]
 
@@ -88,13 +88,8 @@ def fixture(name: str) -> MaximalDivisorConfig:
     if name in _NAMED:
         return _NAMED[name]()
     if name.startswith("oddih-"):
-        digits = name[len("oddih-") :]
         try:
-            # int() alone would also take signs, spaces, underscores and
-            # non-ASCII digits
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(digits)
-            n = int(digits)
+            n = _ascii_int(name[len("oddih-") :])
         except ValueError:
             raise UnknownFixtureError(f"bad rank in fixture name {name!r}") from None
         if not 2 <= n <= _ODDIH_MAX_RANK:

@@ -97,6 +97,19 @@ def _plain_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _ascii_int(text: str) -> int:
+    """The integer that text writes in ASCII digits.  int() alone would
+    also take signs, spaces, underscores and non-ASCII digits.
+
+    Raises:
+        ValueError: text is not all ASCII digits, or has more digits
+            than int() converts (its own error).
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 _INT_ONLY = frozenset((int,))
 
 

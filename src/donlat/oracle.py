@@ -23,10 +23,10 @@ The chain sweeps, `verify_chain_dichotomy` and `verify_internonvide`,
 decide on the same kind of representatives: the cell rule, placing one
 class at a time, meets every orbit of pairs or chains under label
 permutations, and relabelling keeps every condition they test.  The
-cycle search and the chain sweep of `verify_internonvide` share one
-depth-first walk, `_walk`, the one place the cell rule and the chain
-constraints are written.  The full orbits are listed only for the
-pairs and chains a report returns.
+cycle search, at every s, and the chain sweep of `verify_internonvide`
+share one depth-first walk, `_walk`, the one place the cell rule and
+the chain constraints are written.  The full orbits are listed only
+for the pairs and chains a report returns.
 `verify_rational_pattern` sweeps its whole box: the classifier
 `curveclass._kind` is what it checks, and deciding one point per orbit
 would assume that the classifier treats all labels alike.
@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
 from .cycle import CycleConfig, CycleVerdict, _verdict
 from .errors import CapExceededError, IndexRangeError, RankMismatchError, SchemaError
-from .lattice import ClassVector
+from .lattice import ClassVector, _ascii_int
 
 __all__ = [
     "DEFAULT_CAP",
@@ -80,11 +80,7 @@ def effective_cap(cap: int | None = None) -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        # int() alone would also take signs, spaces, underscores and
-        # non-ASCII digits
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError(raw)
-        return int(raw)
+        return _ascii_int(raw)
     except ValueError:
         raise SchemaError(f"{_CAP_ENV} must be an integer in ASCII digits, got {raw!r}") from None
 
@@ -429,7 +425,9 @@ def _walk(
 ) -> Iterable[tuple[tuple[int, ...], int, int, int]]:
     """The depth-first walk of the cycle search and the chain sweep: each
     sequence of `depth` pool indices that keeps the rules below once, in
-    lexicographic order, as (seq, nxt, free, cells).
+    lexicographic order, as (seq, nxt, free, cells).  The cycle search
+    walks through it at every s: at s = 2 a lone root with `step` =
+    `meets_twice`, whose `nxt` is the closing set.
 
     A sequence starts at a root in `roots & fits[0]`.  A class may come
     after its last class `last` when it is in `step[last]` and in
@@ -487,17 +485,18 @@ def _walk(
 def _cycle_prefixes(pool: _Pool, s: int) -> Iterable[tuple[tuple[int, ...], int]]:
     """The search of `enumerate_cycles` for s >= 2: each prefix of s - 1
     pool indices once, with the bitset of the classes that close it
-    into a cycle.  It prunes only through the pool's `cuts`, `fits` and
-    `not_below` tables, so tables that prune nothing make it the raw
-    search."""
+    into a cycle, yielded only when that bitset is nonzero.  It prunes
+    only through the pool's `cuts`, `fits` and `not_below` tables, so
+    tables that prune nothing make it the raw search."""
     meets_once, cuts, fits, not_below = pool.meets_once, pool.cuts, pool.fits, pool.not_below
-    if s == 2:
-        for f in _bits(fits[0]):
-            yield (f,), pool.meets_twice[f] & fits[cuts[f]] & not_below[f]
-        return
     # the canonical rotation starts at a minimal square, so some sibling
     # root finds any class with a smaller one: each root's curves are
     # not below it
+    if s == 2:
+        # each root alone is a prefix, closed by the classes meeting it twice
+        for seq, closing, _, _ in _walk(pool, pool.meets_twice, fits[0], not_below, 1):
+            yield seq, closing
+        return
     for seq, nxt, free, cells in _walk(pool, meets_once, fits[0], not_below, s - 2):
         # each seq + [j] is a prefix of s - 1 classes, closed by the
         # classes meeting both j and the root; the reflected path closes
@@ -926,22 +925,20 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     d_(j-1) lies in U_(j-2), which misses U_0; that is at most 1.
 
     The sweep pays per prefix of j - 1 curves, as `_walk` yields them,
-    rather than per chain.  It keeps the row sums, tail ORs and
-    disjointness of the previous prefix's leading curves up to the
-    first curve where the two prefixes differ, so it forms sums only
-    for yielded prefixes.  The prefix sum is the chain less
-    A_(j-1), whatever class c completes it, so its lead is looked up
-    once per prefix; the chain sum and the chain less A_0 are the
-    prefix sum and the prefix sum less A_0, each plus c's row: two
-    tuple additions per chain.  For (ii), as computed above, the tail
-    pairs other than the ends split into those inside the prefix, which
-    do not depend on c, and those of c with a middle curve A_1 ..
-    A_(j-2), which are all disjoint exactly when t_c misses the OR of
-    the middle tails.  So (ii) holds exactly when the prefix's tails
-    are pairwise disjoint (once per prefix), t_0 & t_c is nonzero and
-    t_c & (OR of the middle tails) is zero: three bit tests.  With the
-    prefix disjoint, that OR is the prefix's OR with t_0's bits
-    removed.  A prefix whose sum is not type A fails (i) with every c,
+    rather than per chain.  Each prefix's row sum, tail OR and
+    disjointness are formed from its own curves, and only for yielded
+    prefixes.  The prefix sum is the chain less A_(j-1), whatever
+    class c completes it, so its lead is looked up once per prefix;
+    the chain sum and the chain less A_0 are the prefix sum and the
+    prefix sum less A_0, each plus c's row: two tuple additions per
+    chain.  For (ii), as computed above, the tail pairs other than the
+    ends split into those inside the prefix, which do not depend on c,
+    and those of c with a middle curve A_1 .. A_(j-2), which are all
+    disjoint exactly when t_c misses the OR of the middle tails.  So
+    (ii) holds exactly when the prefix's tails are pairwise disjoint
+    (once per prefix), t_0 & t_c is nonzero and t_c & (OR of the
+    middle tails) is zero: three bit tests.  With the prefix disjoint,
+    that OR is the prefix's OR with t_0's bits removed.  A prefix whose sum is not type A fails (i) with every c,
     and one whose tails are not disjoint fails (ii) with every c; a
     prefix that does both is skipped.
 
@@ -966,53 +963,43 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     everything = (1 << len(cand)) - 1
     free = (everything,) * len(cand)
     chains = _walk(pool, pool.follows, everything & ~pool.type_b, free, j - 1)
-    marked = [chain for chain, _, _ in _overlaps(pool, j, chains)]
+    marked = [chain for chain, _, _ in _overlaps(pool, chains)]
     # their orbits' members as `_walk` yields chains: each prefix once,
     # with the bitset of the classes that end it
     members = groupby(_orbits(pool, marked), lambda chain: chain[:-1])
     grouped = ((prefix, _mask(chain[-1] for chain in group)) for prefix, group in members)
     witnesses = []
     positives = []
-    for chain, cond_i, cond_ii in _overlaps(pool, j, grouped):
+    for chain, cond_i, cond_ii in _overlaps(pool, grouped):
         (witnesses if cond_i != cond_ii else positives).append(tuple(map(cand.__getitem__, chain)))
     return OverlapReport(not witnesses, tuple(witnesses), tuple(positives))
 
 
 def _overlaps(
-    pool: _Pool, j: int, prefixes: Iterable[tuple]
+    pool: _Pool, prefixes: Iterable[tuple]
 ) -> Iterable[tuple[tuple[int, ...], bool, bool]]:
-    """The per-prefix loop of `verify_internonvide` over chains of j
-    curves given as `_walk` yields them, each prefix first with the
-    bitset of the classes that end it: each chain on which (i) or (ii)
-    holds, in the order given, with the two conditions."""
-    n = len(pool.rows[0])
+    """The per-prefix loop of `verify_internonvide` over chains given as
+    `_walk` yields them, each prefix first with the bitset of the
+    classes that end it: each chain on which (i) or (ii) holds, in the
+    order given, with the two conditions.  Each prefix's row sum, tail
+    OR and disjointness are formed from its own curves, one tuple
+    addition per curve after the first."""
     rows, tails, leads = pool.rows, pool.tails, pool.leads
-    # states[k]: for the first k curves of the current prefix, their
-    # row sum, the OR of their tails and whether those are disjoint
-    states = [((0,) * n, 0, True)]
-    # no class has index -1, so the first prefix shares no curve with it
-    last_prefix = (-1,) * (j - 1)
     for prefix, ends, *_ in prefixes:
-        # keep the states of the leading curves shared with the last
-        # prefix; two prefixes of one length differ somewhere
-        shared = 0
-        while prefix[shared] == last_prefix[shared]:
-            shared += 1
-        del states[shared + 1 :]
-        for i in prefix[shared:]:
-            total, tail_or, disjoint = states[-1]
-            t = tails[i]
-            disjoint = disjoint and not tail_or & t
-            states.append((tuple(map(add, total, rows[i])), tail_or | t, disjoint))
-        last_prefix = prefix
         # the prefix sum is the chain less A_(j-1); less A_0 as well, it
         # is the middle curves' sum
-        less_last, tail_or, disjoint = states[-1]
+        first = prefix[0]
+        less_last, tail_or, disjoint = rows[first], tails[first], True
+        for i in prefix[1:]:
+            t = tails[i]
+            less_last = tuple(map(add, less_last, rows[i]))
+            disjoint = disjoint and not tail_or & t
+            tail_or |= t
         less_last_a = leads.get(less_last, 0) == 1
         if not (less_last_a or disjoint):
             continue
-        middle_sum = tuple(map(sub, less_last, rows[prefix[0]]))
-        t_first = tails[prefix[0]]
+        middle_sum = tuple(map(sub, less_last, rows[first]))
+        t_first = tails[first]
         middle_tails = tail_or ^ t_first
         for c in _bits(ends):
             row, t = rows[c], tails[c]

@@ -20,6 +20,7 @@ from donlat import (
     InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
+    RankMismatchError,
     RankTooSmallError,
     SchemaError,
     SingleCurveError,
@@ -239,6 +240,18 @@ def test_intersection_matrix():
         (-5, 2),
         (2, -3),
     )
+
+
+def test_cycle_readers_refuse_a_rank_mismatch():
+    # a curve of another rank, and curves that agree with each other
+    # but not with the cycle's n: betti_check and cycle_class raise too
+    short_one = CycleConfig(3, (ClassVector((1, -1, 0)), ClassVector((0, 1))), None)
+    short_both = CycleConfig(3, (ClassVector((1, -1)), ClassVector((-1, 1))), None)
+    readers = (selfintersections, cycle_notation, intersection_matrix, betti_check, cycle_class)
+    for cfg in (short_one, short_both):
+        for read in readers:
+            with pytest.raises(RankMismatchError):
+                read(cfg)
 
 
 @given(SelfIntLists)
