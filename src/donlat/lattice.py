@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexRangeError, RankMismatchError, SchemaError
@@ -64,7 +64,8 @@ class ClassVector:
         return add(self, other)
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        return add(self, negate(other))
+        _check_same_rank(self, other)
+        return ClassVector(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ClassVector":
         return negate(self)

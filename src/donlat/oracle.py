@@ -22,11 +22,12 @@ columns are sorted only when their squares tie the found cycle's.
 The chain sweeps, `verify_chain_dichotomy` and `verify_internonvide`,
 decide on the same kind of representatives: the cell rule, placing one
 class at a time, meets every orbit of pairs or chains under label
-permutations, and relabelling keeps every condition they test.  The
-cycle search, at every s, and the chain sweep of `verify_internonvide`
-share one depth-first walk, `_walk`, the one place the cell rule and
-the chain constraints are written.  The full orbits are listed only
-for the pairs and chains a report returns.
+permutations, and relabelling keeps every condition they test.  Three
+searches share one depth-first walk, `_walk`, the one place the cell
+rule and the chain constraints are written: the cycle search at every
+s, the pair sweep of `verify_chain_dichotomy` and the chain sweep of
+`verify_internonvide`.  The full orbits are listed only for the pairs
+and chains a report returns.
 `verify_rational_pattern` sweeps its whole box: the classifier
 `curveclass._kind` is what it checks, and deciding one point per orbit
 would assume that the classifier treats all labels alike.
@@ -48,8 +49,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
-from .cycle import CycleConfig, CycleVerdict, _verdict
-from .errors import CapExceededError, IndexRangeError, RankMismatchError, SchemaError
+from .cycle import CycleConfig, CycleVerdict, _verdict, selfintersections
+from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector, _ascii_int
 
 __all__ = [
@@ -292,10 +293,8 @@ def canonicalize_cycle(cfg: CycleConfig) -> CycleConfig:
     rows = tuple(c.coeffs for c in cfg.curves)
     if not rows:
         return cfg
-    if any(len(row) != cfg.n for row in rows):
-        raise RankMismatchError(f"rank mismatch: a curve's rank is not {cfg.n}")
     orders = _dihedral_orders(len(rows))
-    squares = tuple(-sum(map(mul, row, row)) for row in rows) * 2
+    squares = selfintersections(cfg) * 2
     rows *= 2
     least = min(squares[o] for o in orders)
     mat = min(_sorted_columns(rows[o]) for o in orders if squares[o] == least)
@@ -423,11 +422,14 @@ def _within_cap(n: int, s: int, cap: int | None) -> None:
 def _walk(
     pool: _Pool, step: tuple[int, ...], roots: int, free: tuple[int, ...], depth: int
 ) -> Iterable[tuple[tuple[int, ...], int, int, int]]:
-    """The depth-first walk of the cycle search and the chain sweep: each
+    """The depth-first walk of the oracle's three searches: each
     sequence of `depth` pool indices that keeps the rules below once, in
     lexicographic order, as (seq, nxt, free, cells).  The cycle search
     walks through it at every s: at s = 2 a lone root with `step` =
-    `meets_twice`, whose `nxt` is the closing set.
+    `meets_twice`, whose `nxt` is the closing set.  The pair sweep of
+    `verify_chain_dichotomy` walks at depth 1, each root with its
+    partners as `nxt`, and the chain sweep of `verify_internonvide` at
+    depth j - 1 over `follows`.
 
     A sequence starts at a root in `roots & fits[0]`.  A class may come
     after its last class `last` when it is in `step[last]` and in
@@ -581,27 +583,19 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
         starting[o.start % s].append(o)
     for prefix, closing in _cycle_prefixes(pool, s):
         head_sq = tuple(map(sq.__getitem__, prefix))
+        head = tuple(map(pool_rows.__getitem__, prefix))
         h0 = head_sq[0]
         if s > 2 and head_sq.count(h0) == 1:
             # only the reflection at the root can tie, and only at q = h1
             h1, middle = head_sq[1], head_sq[2:]
             flipped = middle[::-1]
-            if flipped > middle:
-                for j in _bits(closing):
+            wins, ties = flipped > middle, flipped == middle
+            root, turned = head[0], head[:0:-1]
+            for j in _bits(closing):
+                row = pool_rows[j]
+                if wins or sq[j] > h1 or ties and _sorted_columns((root, row, *turned)) >= (*head, row):
                     yield (*prefix, j)
-            elif flipped < middle:
-                for j in _bits(closing):
-                    if sq[j] > h1:
-                        yield (*prefix, j)
-            else:
-                head = tuple(map(pool_rows.__getitem__, prefix))
-                turned = head[:0:-1]
-                for j in _bits(closing):
-                    row = pool_rows[j]
-                    if sq[j] > h1 or _sorted_columns((head[0], row, *turned)) >= (*head, row):
-                        yield (*prefix, j)
             continue
-        head = tuple(map(pool_rows.__getitem__, prefix))
         rivals = [o for p, h in enumerate(head_sq) if h == h0 for o in starting[p]]
         for j in _bits(closing):
             q = sq[j]
@@ -779,9 +773,11 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     The sweep decides on orbit representatives.  A label permutation
     keeps kinds, pairings and the shape of every sum, so a pair fails
     exactly when each pair of its orbit does, and its pairing is the
-    orbit's.  The cell rule of `enumerate_cycles`, placing the pair one
-    class at a time, meets every orbit of ordered pairs: the first class
-    from `fits[0]`, the second from `fits[cuts[first]]`.  Both tests are
+    orbit's.  `_walk` at depth 1, placing the pair one class at a time
+    by the cell rule, meets every orbit of ordered pairs: over
+    `meets_once` from every root for the pairs meeting once, and over
+    `meets_twice` (then `meets_once` and `apart` for the maximum) with
+    roots and partners kept to the type B classes.  Both tests are
     symmetric in the two classes, so these ordered pairs stand for all
     unordered ones, the maximum among them is the maximum over all, and
     `ok` is decided on them.  Only when some representative fails are
@@ -794,7 +790,7 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
     """
     pool = _pool(n)
     cand, type_b, rows, leads = pool.classes, pool.type_b, pool.rows, pool.leads
-    meets_once, meets_twice, cuts, fits = pool.meets_once, pool.meets_twice, pool.cuts, pool.fits
+    meets_once, meets_twice = pool.meets_once, pool.meets_twice
 
     def fault(i: int, j: int) -> CurveKind | int | None:
         # the last entry of the witness if classes i and j pair (by i's
@@ -812,22 +808,26 @@ def verify_chain_dichotomy(n: int) -> DichotomyReport:
             return _kind(row_sum)
         return None
 
-    failed = []
-    max_bb: int | None = None
-    for r in _bits(fits[0]):
-        # r itself fits its cells, but its square is negative, so it is
-        # in none of its own pairing bitsets
-        partners = fits[cuts[r]]
-        pairs = meets_once[r] & partners
-        if type_b >> r & 1:
-            bb = type_b & partners
-            # the pool files pairings of 2, 1 and 0; lower ones are left out
-            for got, hits in ((2, meets_twice), (1, meets_once), (0, pool.apart)):
-                if bb & hits[r]:
-                    max_bb = got if max_bb is None else max(max_bb, got)
-                    break
-            pairs |= bb & meets_twice[r]
-        failed += ((r, p) for p in _bits(pairs) if fault(r, p) is not None)
+    m = len(cand)
+    everything = (1 << m) - 1
+    only_b = (type_b,) * m
+    # the representative pairs meeting once, and the type B ones meeting
+    # twice; a class's square is negative, so it never partners itself
+    walks = (
+        _walk(pool, meets_once, everything, (everything,) * m, 1),
+        _walk(pool, meets_twice, type_b, only_b, 1),
+    )
+    failed = [
+        (r, p)
+        for walk in walks
+        for (r,), nxt, _, _ in walk
+        for p in _bits(nxt)
+        if fault(r, p) is not None
+    ]
+    # the greatest of the pairings 2, 1 and 0 that some type B pair has;
+    # the pool files no lower one
+    hits_by = ((2, meets_twice), (1, meets_once), (0, pool.apart))
+    max_bb = next((got for got, hits in hits_by if any(_walk(pool, hits, type_b, only_b, 1))), None)
     witnesses = []
     # each unordered pair of the failing orbits once, lower index first
     for i, j in sorted({(a, b) if a < b else (b, a) for a, b in _orbits(pool, failed)}):

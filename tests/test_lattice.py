@@ -236,3 +236,6 @@ def test_operator_sugar_matches_functions():
     assert x - y == add(x, negate(y))
     assert -x == negate(x)
     assert tuple(x) == (1, -1, 0)
+    # a difference across ranks raises as a sum does, naming both ranks
+    with pytest.raises(RankMismatchError, match=r"^rank mismatch: 6 vs 2$"):
+        ClassVector((1, 0, 0, -1, 0, 0)) - ClassVector((1, -1))

@@ -872,7 +872,7 @@ def _reference_chain_dichotomy(n):
 
 
 def test_chain_dichotomy_matches_the_full_pair_sweep(monkeypatch):
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert verify_chain_dichotomy(n) == _reference_chain_dichotomy(n), n
         if n <= 6:
             # the maximum type B pairing, by intersect on every pair
@@ -902,6 +902,21 @@ def test_chain_dichotomy_reports_two_type_b_classes_meeting_once(monkeypatch):
     assert not report.ok
     assert report.witnesses == ((pool.classes[i], pool.classes[j], 1),)
     assert report.max_type_b_pairing == 1
+
+
+def test_chain_dichotomy_reports_two_type_b_classes_meeting_twice(monkeypatch):
+    # no rank has such a pair either: a planted link between the first
+    # two type B classes, which the cell rule places as root and partner
+    pool = _pool(3)
+    i, j = list(_bits(pool.type_b))[:2]
+    meets_twice = list(pool.meets_twice)
+    meets_twice[i] |= 1 << j
+    linked = pool._replace(meets_twice=tuple(meets_twice))
+    monkeypatch.setattr(oracle, "_pool", lambda n: linked)
+    report = verify_chain_dichotomy(3)
+    assert not report.ok
+    assert report.witnesses == ((pool.classes[i], pool.classes[j], 2),)
+    assert report.max_type_b_pairing == 2
 
 
 def test_compose_chain_matches_the_sweeps_row_sum_kind():
