@@ -247,11 +247,9 @@ def distinct_heads(a: ClassVector, b: ClassVector) -> bool:
 
 def kind_to_json(kind: CurveKind) -> dict:
     """{"kind": "A"|"B", "i": head, "I": sorted tail} or {"kind": "none", "defect": d}."""
-    if isinstance(kind, TypeA):
-        return {"kind": "A", "i": kind.head, "I": sorted(kind.tail)}
-    if isinstance(kind, TypeB):
-        return {"kind": "B", "i": kind.head, "I": sorted(kind.tail)}
-    return {"kind": "none", "defect": kind.defect}
+    if isinstance(kind, NonCurve):
+        return {"kind": "none", "defect": kind.defect}
+    return {"kind": "A" if isinstance(kind, TypeA) else "B", "i": kind.head, "I": sorted(kind.tail)}
 
 
 def kind_from_json(data: object) -> CurveKind:

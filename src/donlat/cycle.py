@@ -153,16 +153,21 @@ _set_curves = CycleConfig.curves.__set__
 _set_alphas = CycleConfig.alphas.__set__
 
 
+def _rank_mismatches(curves: Sequence[ClassVector], n: int, prefix: str = "") -> list[Violation]:
+    """One rank-mismatch violation per curve whose rank is not n, in
+    order; `prefix` goes before "curve" ("tree 2 " for a tree's curves)."""
+    return [
+        Violation("rank-mismatch", f"{prefix}curve {pos} has rank {c.n}, config says {n}")
+        for pos, c in enumerate(curves)
+        if c.n != n
+    ]
+
+
 def validate_cycle(cfg: CycleConfig) -> CycleReport:
     """Check every cycle-shape constraint; report rather than raise."""
-    bad: list[Violation] = []
     if not cfg.curves:
         return CycleReport((Violation("empty", "a cycle needs at least one curve"),))
-    for pos, c in enumerate(cfg.curves):
-        if c.n != cfg.n:
-            bad.append(
-                Violation("rank-mismatch", f"curve {pos} has rank {c.n}, config says {cfg.n}")
-            )
+    bad = _rank_mismatches(cfg.curves, cfg.n)
     if bad:
         # intersection checks below assume a uniform rank
         return CycleReport(tuple(bad))
@@ -171,7 +176,7 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
     kinds = [classify(c) for c in cfg.curves]
     if cfg.alphas is not None:
         heads = tuple(k.head if isinstance(k, TypeA) else None for k in kinds)
-        if cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
+        if None in heads or cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
             bad.append(
                 Violation(
                     "alphas-mismatch",

@@ -39,14 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .curveclass import TypeA, TypeB, classify, is_nodal_cycle_class
 from .cycle import (
+    CycleClass,
     CycleConfig,
     CycleReport,
     Violation,
     _checked,
+    _rank_mismatches,
     cycle_class,
     validate_cycle,
 )
@@ -158,14 +160,7 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
     n = cfg.cycle.n
 
     for t_idx, tree in enumerate(cfg.trees):
-        for c_idx, c in enumerate(tree.chain):
-            if c.n != n:
-                bad.append(
-                    Violation(
-                        "rank-mismatch",
-                        f"tree {t_idx} curve {c_idx} has rank {c.n}, config says {n}",
-                    )
-                )
+        bad += _rank_mismatches(tree.chain, n, f"tree {t_idx} ")
     if bad:
         return DivisorReport(tuple(bad))
 
@@ -216,9 +211,11 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
         else:
             overlaps.append((tree_g, tree_h, i, j))
 
+    # one classification per tree curve, read again by the support replay
+    kinds = [[classify(c) for c in tree.chain] for tree in cfg.trees]
     for t_idx, tree in enumerate(cfg.trees):
-        for c_idx, c in enumerate(tree.chain):
-            if not isinstance(classify(c), TypeA):
+        for c_idx, kind in enumerate(kinds[t_idx]):
+            if not isinstance(kind, TypeA):
                 bad.append(
                     Violation(
                         "tree-curve-not-type-a",
@@ -268,20 +265,14 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
     # structural shape holds, so every update below is legal (module docstring)
     _, support = cycle_class(cfg.cycle)
     trace = [support]
-    for tree in sorted(cfg.trees, key=lambda t: t.attach):
-        for c in tree.chain:
-            kind = classify(c)
+    for t_idx in sorted(range(len(cfg.trees)), key=lambda t: cfg.trees[t].attach):
+        for kind in kinds[t_idx]:
             support = (support - {kind.head}) | kind.tail
             trace.append(support)
     return DivisorReport((), tuple(trace), -e_sum(support, n), support)
 
 
-class TotalClass(NamedTuple):
-    vector: ClassVector
-    support: frozenset[int]
-
-
-def total_class(cfg: MaximalDivisorConfig) -> TotalClass:
+def total_class(cfg: MaximalDivisorConfig) -> CycleClass:
     """Class of the whole divisor, -e_support.
 
     Raises:
@@ -290,7 +281,7 @@ def total_class(cfg: MaximalDivisorConfig) -> TotalClass:
     report = validate_maximal_divisor(cfg)
     _checked(report, InvalidDivisorError)
     assert report.total is not None and report.support is not None
-    return TotalClass(report.total, report.support)
+    return CycleClass(report.total, report.support)
 
 
 def _is_nodal(c: ClassVector, role: str) -> bool:

@@ -449,6 +449,13 @@ def test_alphas_must_be_the_increasing_type_a_heads():
     odd = odd_ih_cycle(3)
     assert validate_cycle(odd).ok
     assert validate_cycle(CycleConfig(3, odd.curves, (1, 1, 2))).codes() == ("alphas-mismatch",)
+    # nor may alphas list the None head of a curve that is not type A,
+    # the nodal curve of a one-curve cycle included
+    nodal = CycleConfig(3, (ClassVector((0, -1, -1)),), (None,))
+    for cfg in (CycleConfig(3, odd.curves, (None, 1, 2)), nodal):
+        assert validate_cycle(cfg).codes() == ("alphas-mismatch",)
+        with pytest.raises(InvalidCycleError):
+            smooth_node(cfg, 0)
 
 
 def test_builders_set_alphas_that_validate():

@@ -76,7 +76,7 @@ def dense_validate_cycle(cfg: CycleConfig) -> tuple[Violation, ...]:
     kinds = [classify(c) for c in cfg.curves]
     if cfg.alphas is not None:
         heads = tuple(k.head if isinstance(k, TypeA) else None for k in kinds)
-        if cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
+        if None in heads or cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
             bad.append(
                 Violation(
                     "alphas-mismatch",
@@ -611,8 +611,23 @@ def test_divisor_checks_match_dense_on_fixtures_and_planted_faults():
         assert check_divisor(fixture(name))
     for cfg in kato_mutations():
         assert not check_divisor(cfg)
-    mixed = MaximalDivisorConfig(fixture("kato522332").cycle, (TreeConfig((ClassVector((1, 0)),), 0),))
+    kato = fixture("kato522332")
+    short, long = ClassVector((1, 0)), ClassVector((0, 0, 0, 0, 0, 0, 1))
+    mixed = MaximalDivisorConfig(kato.cycle, (TreeConfig((short,), 0),))
     assert not check_divisor(mixed)
+    # wrong ranks in the second and third of three trees: one rank rule
+    # names the tree and the curve, in tree order
+    chain = kato.trees[0].chain
+    three = MaximalDivisorConfig(
+        kato.cycle,
+        (TreeConfig(chain, 0), TreeConfig((chain[0], short, short), 1), TreeConfig((long,), 1)),
+    )
+    assert not check_divisor(three)
+    assert [v.message for v in validate_maximal_divisor(three).violations] == [
+        "tree 1 curve 1 has rank 2, config says 6",
+        "tree 1 curve 2 has rank 2, config says 6",
+        "tree 2 curve 0 has rank 7, config says 6",
+    ]
     empty = MaximalDivisorConfig(fixture("ex333").cycle, (TreeConfig((), 0),))
     assert not check_divisor(empty)
 
