@@ -165,6 +165,9 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
         return DivisorReport(tuple(bad))
 
     s = cfg.cycle.s
+    # whether each tree's attach is a position of the cycle: a plain int
+    # (see `lattice._plain_int`) in range, read by both attach checks
+    in_range = [_plain_int(tree.attach) and 0 <= tree.attach < s for tree in cfg.trees]
     seen_attach: dict[int, int] = {}
     for t_idx, tree in enumerate(cfg.trees):
         if not tree.chain:
@@ -174,11 +177,11 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
                     f"tree {t_idx} has an empty chain; a tree needs at least one curve",
                 )
             )
-        if not 0 <= tree.attach < s:
+        if not in_range[t_idx]:
             bad.append(
                 Violation(
                     "attach-out-of-range",
-                    f"tree {t_idx} attaches at position {tree.attach}, cycle has {s} curves",
+                    f"tree {t_idx} attaches at position {tree.attach!r}, cycle has {s} curves",
                 )
             )
             continue
@@ -232,7 +235,7 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
                     "trees must be chains",
                 )
             )
-        if 0 <= tree.attach < s:
+        if in_range[t_idx]:
             for c_idx, curve_hits in enumerate(hits[t_idx]):
                 if c_idx == 0:
                     if curve_hits != [(tree.attach, 1)]:

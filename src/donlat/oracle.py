@@ -348,9 +348,15 @@ def enumerate_cycles(
     through the pool's per-class tables: the cells (`cuts`, `fits`) and
     the squares (`not_below`).  Raw mode is the same search over tables
     that prune nothing: no cuts, one cell that fits every class, and no
-    class below another.  The raw result lists the closing classes of
-    each prefix from the lowest index up, and `_canonical_classes`
-    visits them in the same order.
+    class below another.  The search yields one node of its walk at a
+    time: s - 2 classes with the pairs (j, closing) that extend them to
+    a prefix and close it.  So raw mode looks up each node's classes
+    once and appends each j once, and it expands each closing set bit
+    by bit in place.  Its result lists the nodes in lexicographic
+    order, each j from the lowest index up and each closing class
+    likewise, so the ordered cycles come in lexicographic order of
+    their pool indices; `_canonical_classes` visits them in the same
+    order.
 
     The search has no one-type-B rule: the pairings already leave at
     most one type B class per cycle, at every node of the search.  Two
@@ -387,20 +393,23 @@ def enumerate_cycles(
     pool = _pool(n)
     cand = pool.classes
     if not symmetry:
-        # the same search over tables that prune nothing, in one
-        # comprehension: each prefix's classes are looked up once, then
-        # each closing class is appended to them
+        # the same search over tables that prune nothing: each node's
+        # classes are looked up once, each j is appended to them once,
+        # and each closing class to that prefix
         m = len(cand)
         everything = (1 << m) - 1
         raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
-        return tuple(
-            [
-                CycleConfig(n, (*head, cand[j]), None)
-                for prefix, closing in _cycle_prefixes(raw, s)
-                for head in (tuple(map(cand.__getitem__, prefix)),)
-                for j in _bits(closing)
-            ]
-        )
+        configs = []
+        append = configs.append
+        for seq, closings in _cycle_prefixes(raw, s):
+            head = tuple(map(cand.__getitem__, seq))
+            for j, closing in closings:
+                curves = (*head, cand[j])
+                while closing:
+                    low = closing & -closing
+                    append(CycleConfig(n, (*curves, cand[low.bit_length() - 1]), None))
+                    closing ^= low
+        return tuple(configs)
 
     # each accepted cycle is its own canonical form, and pool indices
     # follow the row order, so (squares, indices) sorts as (squares,
@@ -484,32 +493,45 @@ def _walk(
         yield from extend([root], free[root], cuts[root])
 
 
-def _cycle_prefixes(pool: _Pool, s: int) -> Iterable[tuple[tuple[int, ...], int]]:
-    """The search of `enumerate_cycles` for s >= 2: each prefix of s - 1
-    pool indices once, with the bitset of the classes that close it
-    into a cycle, yielded only when that bitset is nonzero.  It prunes
-    only through the pool's `cuts`, `fits` and `not_below` tables, so
-    tables that prune nothing make it the raw search."""
+def _cycle_prefixes(
+    pool: _Pool, s: int
+) -> Iterable[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """The search of `enumerate_cycles` for s >= 2, one `_walk` node at
+    a time: each sequence `seq` of s - 2 pool indices once, in
+    lexicographic order, with `closings`, the pairs (j, closing) in
+    increasing j whose bitset `closing` holds the classes that close
+    the prefix (*seq, j) into a cycle and is nonzero.  A node with no
+    such pair is not yielded.  At s = 2 the stream is one node, (),
+    whose pairs are the roots and the classes meeting them twice.  It
+    prunes only through the pool's `cuts`, `fits` and `not_below`
+    tables, so tables that prune nothing make it the raw search."""
     meets_once, cuts, fits, not_below = pool.meets_once, pool.cuts, pool.fits, pool.not_below
     # the canonical rotation starts at a minimal square, so some sibling
     # root finds any class with a smaller one: each root's curves are
     # not below it
     if s == 2:
         # each root alone is a prefix, closed by the classes meeting it twice
-        for seq, closing, _, _ in _walk(pool, pool.meets_twice, fits[0], not_below, 1):
-            yield seq, closing
+        walk = _walk(pool, pool.meets_twice, fits[0], not_below, 1)
+        closings = [(root, closing) for (root,), closing, _, _ in walk]
+        if closings:
+            yield (), closings
         return
     for seq, nxt, free, cells in _walk(pool, meets_once, fits[0], not_below, s - 2):
-        # each seq + [j] is a prefix of s - 1 classes, closed by the
+        # each (*seq, j) is a prefix of s - 1 classes, closed by the
         # classes meeting both j and the root; the reflected path closes
         # with the larger of the two squares next to the root and finds
         # any cycle this one drops
         close = meets_once[seq[0]] & free
-        for j in _bits(nxt):
-            closing = meets_once[j] & close & fits[cells | cuts[j]]
-            closing &= not_below[seq[1] if len(seq) > 1 else j]
-            if closing:
-                yield (*seq, j), closing
+        closings = [
+            (j, closing)
+            for j in _bits(nxt)
+            if (
+                closing := meets_once[j] & close & fits[cells | cuts[j]]
+                & not_below[seq[1] if s > 3 else j]
+            )
+        ]
+        if closings:
+            yield seq, closings
 
 
 def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
@@ -548,9 +570,12 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     rows smaller than the found rows, which need no sort.  So an
     accepted cycle is its own canonical form.
 
-    Squares decide most of that test, a prefix at a time.  Write h_0,
-    ..., h_(s-2) for the squares of a prefix and q for the closing
-    class's.
+    Squares decide most of that test, a prefix at a time.  The search
+    streams its walk nodes (`_cycle_prefixes`), so each node's squares
+    and rows are looked up once, and each prefix (*seq, j) extends the
+    squares by j's; its rows are built only where a test reads them.
+    Write h_0, ..., h_(s-2) for the squares of a prefix and q for the
+    closing class's.
       - Only an order that starts at a least square can compete.  The
         root's prune puts every class of the cycle in `not_below[root]`,
         so h_0 is a least square, and an order that starts at a larger
@@ -565,9 +590,9 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
         so the found cycle is accepted with no rows built.  When
         q = h_1 the middle squares h_2, ..., h_(s-2) decide, against
         their reverse, once per prefix: a greater reverse accepts, a
-        smaller one rejects, and only on a tie are the reflection's
-        columns sorted.  As q >= h_1 always, a greater reverse accepts
-        every closing class of the prefix.
+        smaller one rejects, and only on a tie are the prefix's rows
+        built and the reflection's columns sorted.  As q >= h_1 always,
+        a greater reverse accepts every closing class of the prefix.
       - Otherwise the prefix's least-square orders are listed once, and
         the closing class's two orders join them only when q = h_0.
         Each is compared on squares first, and its columns are sorted
@@ -581,32 +606,38 @@ def _canonical_classes(pool: _Pool, s: int) -> Iterable[tuple[int, ...]]:
     starting = [[] for _ in range(s)]
     for o in _dihedral_orders(s)[1:]:
         starting[o.start % s].append(o)
-    for prefix, closing in _cycle_prefixes(pool, s):
-        head_sq = tuple(map(sq.__getitem__, prefix))
-        head = tuple(map(pool_rows.__getitem__, prefix))
-        h0 = head_sq[0]
-        if s > 2 and head_sq.count(h0) == 1:
-            # only the reflection at the root can tie, and only at q = h1
-            h1, middle = head_sq[1], head_sq[2:]
-            flipped = middle[::-1]
-            wins, ties = flipped > middle, flipped == middle
-            root, turned = head[0], head[:0:-1]
-            for j in _bits(closing):
-                row = pool_rows[j]
-                if wins or sq[j] > h1 or ties and _sorted_columns((root, row, *turned)) >= (*head, row):
-                    yield (*prefix, j)
-            continue
-        rivals = [o for p, h in enumerate(head_sq) if h == h0 for o in starting[p]]
-        for j in _bits(closing):
-            q = sq[j]
-            squares, rows = (*head_sq, q), (*head, pool_rows[j])
-            squares2, rows2 = squares * 2, rows * 2
-            for o in rivals + starting[-1] if q == h0 else rivals:
-                rival = squares2[o]
-                if rival < squares or rival == squares and _sorted_columns(rows2[o]) < rows:
-                    break
-            else:
-                yield (*prefix, j)
+    for seq, closings in _cycle_prefixes(pool, s):
+        # the node's squares and rows, looked up once for all its prefixes
+        seq_sq = tuple(map(sq.__getitem__, seq))
+        seq_rows = tuple(map(pool_rows.__getitem__, seq))
+        for j, closing in closings:
+            head_sq = (*seq_sq, sq[j])
+            h0 = head_sq[0]
+            if s > 2 and head_sq.count(h0) == 1:
+                # only the reflection at the root can tie, and only at q = h1
+                h1, middle = head_sq[1], head_sq[2:]
+                flipped = middle[::-1]
+                wins, ties = flipped > middle, flipped == middle
+                if ties:
+                    head = (*seq_rows, pool_rows[j])
+                    root, turned = head[0], head[:0:-1]
+                for c in _bits(closing):
+                    row = pool_rows[c]
+                    if wins or sq[c] > h1 or ties and _sorted_columns((root, row, *turned)) >= (*head, row):
+                        yield (*seq, j, c)
+                continue
+            head = (*seq_rows, pool_rows[j])
+            rivals = [o for p, h in enumerate(head_sq) if h == h0 for o in starting[p]]
+            for c in _bits(closing):
+                q = sq[c]
+                squares, rows = (*head_sq, q), (*head, pool_rows[c])
+                squares2, rows2 = squares * 2, rows * 2
+                for o in rivals + starting[-1] if q == h0 else rivals:
+                    rival = squares2[o]
+                    if rival < squares or rival == squares and _sorted_columns(rows2[o]) < rows:
+                        break
+                else:
+                    yield (*seq, j, c)
 
 
 def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict, int], ...]:

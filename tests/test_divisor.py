@@ -110,6 +110,15 @@ def test_remaining_structural_rejections():
     assert "rank-mismatch" in codes((TreeConfig((basis(0, 3),), 0),))
 
 
+@pytest.mark.parametrize("attach", [None, "0", 0.0, True])
+def test_an_attach_that_is_no_plain_int_is_out_of_range(attach):
+    # the JSON reader refuses these; a Python caller gets the report,
+    # neither a TypeError nor a tree attached at a float or a bool
+    tree = TreeConfig(KATO.trees[0].chain, attach)
+    report = validate_maximal_divisor(MaximalDivisorConfig(KATO.cycle, (tree,)))
+    assert report.codes() == ("attach-out-of-range",)
+
+
 def test_empty_tree_is_rejected():
     # from_json refuses a tree with an empty chain, so the validator must
     # too, or a divisor it accepts could not be read back

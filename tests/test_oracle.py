@@ -1090,6 +1090,38 @@ def test_census_and_enumeration_build_no_key(monkeypatch):
     assert calls == []
 
 
+def _prefixes(tables, s):
+    """The stream of `_cycle_prefixes(tables, s)` one prefix at a time:
+    each prefix (*seq, j) with its closing bitset, in the search's
+    order."""
+    for seq, closings in _cycle_prefixes(tables, s):
+        for j, closing in closings:
+            yield (*seq, j), closing
+
+
+def test_cycle_prefixes_yield_each_walk_node_once():
+    # the contract both consumers read, on the pool and on the tables
+    # of raw mode: nodes of s - 2 classes in increasing lexicographic
+    # order, none without a closing prefix, and j increasing in each.
+    # Raw mode at rank 6 stops at s = 4: s = 5..7 walk 1.5 million
+    # nodes, some 15 s
+    for n in range(1, 7):
+        pool = _pool(n)
+        m = len(pool.classes)
+        everything = (1 << m) - 1
+        raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
+        for tables, top in ((pool, n + 1), (raw, 4 if n == 6 else n + 1)):
+            for s in range(2, top + 1):
+                nodes = list(_cycle_prefixes(tables, s))
+                seqs = [seq for seq, _ in nodes]
+                assert all(len(seq) == s - 2 for seq in seqs), (n, s)
+                assert all(map(tuple.__lt__, seqs, seqs[1:])), (n, s)
+                for seq, closings in nodes:
+                    assert closings and all(closing for _, closing in closings), (n, s, seq)
+                    js = [j for j, _ in closings]
+                    assert all(map(int.__lt__, js, js[1:])), (n, s, seq)
+
+
 def test_found_cycles_have_columns_sorted_and_accepted_ones_are_keys():
     # the premise of `_canonical_classes`: every cycle the symmetric
     # search finds has its columns in numeric order, and each one it
@@ -1098,7 +1130,7 @@ def test_found_cycles_have_columns_sorted_and_accepted_ones_are_keys():
         pool = _pool(n)
         rows = pool.rows
         for s in range(2, n + 1):
-            for prefix, closing in _cycle_prefixes(pool, s):
+            for prefix, closing in _prefixes(pool, s):
                 for j in _bits(closing):
                     columns = list(zip(*(rows[i] for i in (*prefix, j))))
                     assert columns == sorted(columns), (n, s, prefix, j)
@@ -1114,7 +1146,7 @@ def _accepted_by_every_order(pool, s):
     dihedral order, every order sorted in full."""
     rows, sq = pool.rows, pool.squares
     others = _dihedral_orders(s)[1:]
-    for prefix, closing in _cycle_prefixes(pool, s):
+    for prefix, closing in _prefixes(pool, s):
         for j in _bits(closing):
             cycle = (*prefix, j)
             squares = tuple(sq[i] for i in cycle) * 2
@@ -1141,7 +1173,7 @@ def test_found_and_accepted_counts():
     for n, found, accepted in ((5, 242, 183), (6, 1051, 737), (7, 4736, 3187)):
         pool = _pool(n)
         sizes = range(2, n + 1)
-        closings = [c for s in sizes for _, c in _cycle_prefixes(pool, s)]
+        closings = [c for s in sizes for _, c in _prefixes(pool, s)]
         # only prefixes that some class closes are yielded, at every s
         assert all(closings), n
         assert sum(c.bit_count() for c in closings) == found, n
@@ -1231,7 +1263,7 @@ def _least_root_raw_count(n, s):
     everything = (1 << m) - 1
     above = tuple(everything & ~((2 << i) - 1) for i in range(m))
     tables = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=above)
-    found = sum(closing.bit_count() for _, closing in _cycle_prefixes(tables, s))
+    found = sum(closing.bit_count() for _, closing in _prefixes(tables, s))
     return found * (2 if s == 2 else 2 * s)
 
 
