@@ -94,8 +94,9 @@ class CycleConfig:
     the class's own slot descriptor.  A frozen dataclass's generated
     `__init__` must set each field with `object.__setattr__`
     (https://docs.python.org/3/library/dataclasses.html#frozen-instances),
-    and that path costs about twice as much per config: close to half
-    of raw `enumerate_cycles(5, 4)`, which builds 49,200 of them.
+    and that path costs about half as much again per config.  The
+    49,200 configs of raw `enumerate_cycles(5, 4)` take about a third
+    of that call as it is.
     Equality, hashing, `repr`, frozenness, pickling, `__match_args__`
     and `fields()` are the generated ones.
     """
@@ -154,13 +155,26 @@ _set_alphas = CycleConfig.alphas.__set__
 
 
 def _rank_mismatches(curves: Sequence[ClassVector], n: int, prefix: str = "") -> list[Violation]:
-    """One rank-mismatch violation per curve whose rank is not n, in
-    order; `prefix` goes before "curve" ("tree 2 " for a tree's curves)."""
-    return [
-        Violation("rank-mismatch", f"{prefix}curve {pos} has rank {c.n}, config says {n}")
-        for pos, c in enumerate(curves)
-        if c.n != n
-    ]
+    """One violation per curve that does not fit a rank-n config, in
+    order: `not-a-curve`, naming its type, for an entry that is no
+    `ClassVector`, and `rank-mismatch` for a curve whose rank is not n.
+    An n that is no plain int (see `lattice._plain_int`), such as 3.0 or
+    True, is no rank, so every curve mismatches it.  `prefix` goes
+    before "curve" ("tree 2 " for a tree's curves)."""
+    rank = _plain_int(n)
+    bad = []
+    for pos, c in enumerate(curves):
+        if not isinstance(c, ClassVector):
+            bad.append(
+                Violation(
+                    "not-a-curve", f"{prefix}curve {pos} is a {type(c).__name__}, not a class vector"
+                )
+            )
+        elif not rank or c.n != n:
+            bad.append(
+                Violation("rank-mismatch", f"{prefix}curve {pos} has rank {c.n}, config says {n!r}")
+            )
+    return bad
 
 
 def validate_cycle(cfg: CycleConfig) -> CycleReport:
@@ -169,7 +183,7 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
         return CycleReport((Violation("empty", "a cycle needs at least one curve"),))
     bad = _rank_mismatches(cfg.curves, cfg.n)
     if bad:
-        # intersection checks below assume a uniform rank
+        # the checks below assume class vectors of one plain-int rank
         return CycleReport(tuple(bad))
 
     s = cfg.s

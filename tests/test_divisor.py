@@ -5,9 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from donlat import (
     ClassVector,
+    CycleConfig,
     InvalidDivisorError,
     MaximalDivisorConfig,
     NonCurveComponentError,
@@ -26,6 +29,7 @@ from donlat import (
     second_component_check,
     simply_connected_class,
     total_class,
+    validate_cycle,
     validate_maximal_divisor,
 )
 
@@ -117,6 +121,37 @@ def test_an_attach_that_is_no_plain_int_is_out_of_range(attach):
     tree = TreeConfig(KATO.trees[0].chain, attach)
     report = validate_maximal_divisor(MaximalDivisorConfig(KATO.cycle, (tree,)))
     assert report.codes() == ("attach-out-of-range",)
+
+
+NO_PLAIN_INT = st.one_of(
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.tuples(st.integers(-2, 1), st.integers(-2, 1)),
+)
+
+
+@given(NO_PLAIN_INT, st.integers(-1, len(KATO.all_curves()) - 1))
+def test_a_rank_or_curve_of_the_wrong_type_is_reported(junk, slot):
+    # slot -1 is the rank; the JSON readers refuse all of these, and a
+    # Python caller gets the report, never a bare exception
+    curves = list(KATO.all_curves())
+    s = KATO.cycle.s
+    if slot < 0:
+        n = junk
+        want = ("rank-mismatch",) * len(curves)
+    else:
+        n = KATO.cycle.n
+        curves[slot] = junk
+        want = ("not-a-curve",)
+    cycle = CycleConfig(n, curves[:s])
+    tree = TreeConfig(curves[s:], KATO.trees[0].attach)
+    report = validate_maximal_divisor(MaximalDivisorConfig(cycle, (tree,)))
+    assert report.codes() == want
+    if slot >= 0:
+        assert f"is a {type(junk).__name__}, " in report.violations[0].message
+    assert validate_cycle(cycle).codes() == (want[:s] if slot < s else ())
 
 
 def test_empty_tree_is_rejected():

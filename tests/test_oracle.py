@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -476,7 +477,20 @@ RAW_DIGESTS = {
 
 
 def _raw_digest(raw):
-    return hashlib.sha256(json.dumps([c.to_json() for c in raw]).encode()).hexdigest()
+    """The sha256 of `json.dumps` of the list, fed one config at a
+    time: the same bytes, with no text of the whole list in memory."""
+    digest = hashlib.sha256(b"[")
+    for i, c in enumerate(raw):
+        digest.update(((", " if i else "") + json.dumps(c.to_json())).encode())
+    digest.update(b"]")
+    return digest.hexdigest()
+
+
+def test_raw_digest_hashes_the_json_of_the_whole_list():
+    raw = enumerate_cycles(4, 3, symmetry=False)
+    whole = json.dumps([c.to_json() for c in raw]).encode()
+    assert _raw_digest(raw) == hashlib.sha256(whole).hexdigest()
+    assert _raw_digest(()) == hashlib.sha256(b"[]").hexdigest()
 
 
 def test_raw_mode_covers_every_symmetry_class():
@@ -500,6 +514,66 @@ def test_raw_mode_covers_every_symmetry_class():
         assert {canonicalize_cycle(c) for c in _one_per_row_set(raw)} == set(
             enumerate_cycles(n, s, cap=6)
         )
+
+
+def _collections_during(call):
+    """The generations of the collections that run during call().  A
+    young pass runs first, so none is due as call() starts."""
+    gc.collect(0)
+    seen = []
+
+    def note(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(note)
+    return seen
+
+
+def test_listings_are_built_with_the_collector_paused():
+    # one young pass, paid before the call returns, where the raw (5, 4)
+    # listing set off 144 passes with the collector on; the caller is
+    # left with the collector on and no young pass owed
+    for call in (
+        lambda: enumerate_cycles(5, 4, symmetry=False),
+        lambda: enumerate_cycles(5, 5),
+        lambda: verify_internonvide(5, 3),
+    ):
+        assert _collections_during(call) == [0]
+        assert gc.isenabled()
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+
+
+def test_a_collector_the_caller_turned_off_stays_off():
+    gc.disable()
+    try:
+        seen = _collections_during(lambda: enumerate_cycles(5, 4, symmetry=False))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == []
+
+
+def test_a_build_that_raises_leaves_the_collector_on(monkeypatch):
+    calls = 0
+    real = oracle.CycleConfig
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise RuntimeError("planted")
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "CycleConfig", failing)
+    with pytest.raises(RuntimeError, match="planted"):
+        enumerate_cycles(5, 4, symmetry=False)
+    assert calls == 100
+    assert gc.isenabled()
 
 
 def test_canonicalize_cycle_keeps_no_memory():
