@@ -24,14 +24,13 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
-    IndexRangeError,
     NotACurveError,
     NotAdjacentError,
     NotTypeAError,
     SchemaError,
     TwoTypeBError,
 )
-from .lattice import ClassVector, _check_same_rank, _plain_int, intersect
+from .lattice import ClassVector, _check_indices, _check_rank, _plain_int, intersect
 
 __all__ = [
     "CurveKind",
@@ -172,14 +171,12 @@ def reconstruct(kind: CurveKind, n: int) -> ClassVector:
 
     Raises:
         NotACurveError: kind is NonCurve.
-        IndexRangeError: the head or a tail index falls outside [0, n-1]
-            (so always when n < 1).
+        IndexRangeError: n or the head or a tail index fails
+            `lattice._check_indices`.
     """
     if isinstance(kind, NonCurve):
         raise NotACurveError("cannot reconstruct a NonCurve")
-    for k in (kind.head, *kind.tail):
-        if not 0 <= k < n:
-            raise IndexRangeError(f"index {k} outside [0, {n - 1}]")
+    _check_indices((kind.head, *kind.tail), n)
     coeffs = [0] * n
     coeffs[kind.head] = 1 if isinstance(kind, TypeA) else -2
     for j in kind.tail:
@@ -239,7 +236,7 @@ def distinct_heads(a: ClassVector, b: ClassVector) -> bool:
     ka, kb = classify(a), classify(b)
     if not isinstance(ka, TypeA) or not isinstance(kb, TypeA):
         raise NotTypeAError("head comparison is defined for type A classes")
-    _check_same_rank(a, b)
+    _check_rank((b,), a.n)
     return ka.head != kb.head
 
 

@@ -32,12 +32,11 @@ from .errors import (
     InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
-    RankMismatchError,
     RankTooSmallError,
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _class_sum, _mismatches, _pairings, _plain_int, intersect, square
+from .lattice import ClassVector, _check_rank, _class_sum, _mismatches, _pairings, _plain_int, intersect, square
 
 __all__ = [
     "BettiResult",
@@ -190,7 +189,11 @@ def validate_cycle(cfg: CycleConfig) -> CycleReport:
     kinds = [classify(c) for c in cfg.curves]
     if cfg.alphas is not None:
         heads = tuple(k.head if isinstance(k, TypeA) else None for k in kinds)
-        if None in heads or cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
+        # every entry must be a plain int, which also refuses alphas
+        # equal to heads holding None (a type B curve), and 0.0 or False
+        # (equal to a head of 0, but refused by the JSON reader); it is
+        # tested first, as `sorted` fails on mixed types
+        if not all(map(_plain_int, cfg.alphas)) or cfg.alphas != heads or list(cfg.alphas) != sorted(set(cfg.alphas)):
             bad.append(
                 Violation(
                     "alphas-mismatch",
@@ -402,8 +405,7 @@ def selfintersections(cfg: CycleConfig) -> tuple[int, ...]:
     Raises:
         RankMismatchError: some curve's rank is not the cycle's n.
     """
-    if any(c.n != cfg.n for c in cfg.curves):
-        raise RankMismatchError(f"rank mismatch: a curve's rank is not {cfg.n}")
+    _check_rank(cfg.curves, cfg.n)
     return tuple(square(c) for c in cfg.curves)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .curveclass import NonCurve, classify
 from .cycle import CycleConfig, _checked, validate_cycle
 from .errors import InvalidCycleError, PositionOutOfRangeError
-from .lattice import ClassVector, basis
+from .lattice import ClassVector, _in_range, basis
 
 __all__ = ["EllipticOutcome", "smooth_node"]
 
@@ -57,12 +57,12 @@ def smooth_node(
 
     Raises:
         InvalidCycleError: cfg fails validation.
-        PositionOutOfRangeError: position outside [0, s-1].
+        PositionOutOfRangeError: position is no plain int in [0, s-1].
     """
     _checked(validate_cycle(cfg), InvalidCycleError)
     s = cfg.s
-    if not 0 <= position < s:
-        raise PositionOutOfRangeError(f"position {position} outside [0, {s - 1}]")
+    if not _in_range(position, s):
+        raise PositionOutOfRangeError(f"position {position!r} outside [0, {s - 1}]")
     if s == 1:
         return EllipticOutcome(cfg.curves[0]), None
 

@@ -58,10 +58,10 @@ from .errors import (
     NotDisjointError,
     NotLemmaFormError,
     NotTreeShapedError,
-    RankMismatchError,
     SchemaError,
 )
-from .lattice import ClassVector, _class_sum, _mismatches, _pairings, _plain_int, e_sum, intersect, square
+from .lattice import ClassVector, _check_rank, _class_sum, _in_range, _mismatches, _pairings
+from .lattice import _plain_int, e_sum, intersect, square
 
 __all__ = [
     "DivisorReport",
@@ -165,9 +165,9 @@ def validate_maximal_divisor(cfg: MaximalDivisorConfig) -> DivisorReport:
         return DivisorReport(tuple(bad))
 
     s = cfg.cycle.s
-    # whether each tree's attach is a position of the cycle: a plain int
-    # (see `lattice._plain_int`) in range, read by both attach checks
-    in_range = [_plain_int(tree.attach) and 0 <= tree.attach < s for tree in cfg.trees]
+    # whether each tree's attach is a position of the cycle (see
+    # `lattice._in_range`), read by both attach checks
+    in_range = [_in_range(tree.attach, s) for tree in cfg.trees]
     seen_attach: dict[int, int] = {}
     for t_idx, tree in enumerate(cfg.trees):
         if not tree.chain:
@@ -320,8 +320,7 @@ def arithmetic_genus(curves: Sequence[ClassVector]) -> int:
     adjunction = 0
     for c in curves:
         adjunction -= (0 if _is_nodal(c, "component") else 2) + square(c)
-        if c.n != n:
-            raise RankMismatchError(f"rank mismatch: {n} vs {c.n}")
+        _check_rank((c,), n)
     value = adjunction + square(_class_sum(curves, n))
     # value = -2 (#smooth components) + 2 (#pairwise meetings), always even
     return 1 + value // 2

@@ -13,6 +13,12 @@ no overflow handling is needed anywhere.
 Shorthand used throughout the package: for an index set I,
 e_I := sum of e_i over i in I, and the class -e_I therefore has
 coefficient -1 exactly on I.
+
+The package's rank and label rules are written once, in two helpers
+here: `_check_indices` (a rank is a plain int >= 1, a label a plain int
+in [0, n-1]; else `IndexRangeError`) and `_check_rank` (classes share
+a rank; else `RankMismatchError`).  A cycle position obeys the label
+rule, `_in_range`, with the number of curves in place of n.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class ClassVector:
         return add(self, other)
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        _check_same_rank(self, other)
+        _check_rank((other,), self.n)
         return ClassVector(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ClassVector":
@@ -122,9 +128,35 @@ def _plain_ints(coeffs: Sequence[object]) -> bool:
     return _INT_ONLY.issuperset(map(type, coeffs)) or all(map(_plain_int, coeffs))
 
 
-def _check_same_rank(x: ClassVector, y: ClassVector) -> None:
-    if x.n != y.n:
-        raise RankMismatchError(f"rank mismatch: {x.n} vs {y.n}")
+def _in_range(i: object, n: int) -> bool:
+    """Whether i is a plain int (see `_plain_int`) in [0, n-1]: a label
+    of rank n, or a position of a cycle of n curves."""
+    return _plain_int(i) and 0 <= i < n
+
+
+def _check_indices(indices: Iterable[object], n: object) -> None:
+    """Raise unless n is a plain int >= 1 and each index is in range
+    (see `_in_range`): the one gate for ranks and basis labels.
+
+    Raises:
+        IndexRangeError: n or some index fails the rule.
+    """
+    if not _plain_int(n) or n < 1:
+        raise IndexRangeError(f"rank must be a positive integer, got {n!r}")
+    for i in indices:
+        if not _in_range(i, n):
+            raise IndexRangeError(f"index {i!r} outside [0, {n - 1}]")
+
+
+def _check_rank(classes: Iterable[ClassVector], n: int) -> None:
+    """Raise unless every class has rank n: the one rank-agreement rule.
+
+    Raises:
+        RankMismatchError: some class's rank is not n.
+    """
+    for x in classes:
+        if len(x.coeffs) != n:
+            raise RankMismatchError(f"rank mismatch: {n} vs {len(x.coeffs)}")
 
 
 def zero(n: int) -> ClassVector:
@@ -134,9 +166,7 @@ def zero(n: int) -> ClassVector:
 
 def basis(i: int, n: int) -> ClassVector:
     """The basis class e_i in rank n."""
-    if not 0 <= i < n:
-        raise IndexRangeError(f"index {i} outside [0, {n - 1}]")
-    return ClassVector(tuple(1 if k == i else 0 for k in range(n)))
+    return e_sum((i,), n)
 
 
 def e_sum(indices: Iterable[int], n: int) -> ClassVector:
@@ -147,14 +177,12 @@ def e_sum(indices: Iterable[int], n: int) -> ClassVector:
         n: ambient rank.
 
     Raises:
-        IndexRangeError: some index falls outside [0, n-1].
+        IndexRangeError: n or some index fails `_check_indices`.
     """
-    if n < 1:
-        raise IndexRangeError(f"rank must be positive, got {n}")
+    labels = tuple(indices)
+    _check_indices(labels, n)
     mark = [0] * n
-    for i in set(indices):
-        if not 0 <= i < n:
-            raise IndexRangeError(f"index {i} outside [0, {n - 1}]")
+    for i in labels:
         mark[i] = 1
     return ClassVector(tuple(mark))
 
@@ -169,15 +197,12 @@ def _class_sum(classes: Sequence[ClassVector], n: int) -> ClassVector:
     column sums of their coefficients; the zero class when there are none.
 
     Raises:
-        IndexRangeError: n is below 1.
+        IndexRangeError: n is no plain int >= 1.
         RankMismatchError: some class's rank is not n.
     """
-    if n < 1:
-        raise IndexRangeError(f"rank must be positive, got {n}")
+    _check_indices((), n)
+    _check_rank(classes, n)
     rows = [x.coeffs for x in classes]
-    for row in rows:
-        if len(row) != n:
-            raise RankMismatchError(f"rank mismatch: {n} vs {len(row)}")
     return ClassVector(tuple(map(sum, zip(*rows))) if rows else (0,) * n)
 
 
@@ -194,7 +219,7 @@ def intersect(x: ClassVector, y: ClassVector) -> int:
     Raises:
         RankMismatchError: operands live in different ranks.
     """
-    _check_same_rank(x, y)
+    _check_rank((y,), x.n)
     return -sum(map(mul, x.coeffs, y.coeffs))
 
 
@@ -213,12 +238,11 @@ def _pairings(curves: Sequence[ClassVector]) -> dict[tuple[int, int], int]:
         RankMismatchError: some curve's rank differs from the first's.
     """
     n = len(curves[0].coeffs) if curves else 0
+    _check_rank(curves, n)
     column: dict[int, list[tuple[int, int]]] = {}
     out: dict[tuple[int, int], int] = {}
     for j, y in enumerate(curves):
         coeffs = y.coeffs
-        if len(coeffs) != n:
-            raise RankMismatchError(f"rank mismatch: {n} vs {len(coeffs)}")
         row: dict[int, int] = {}
         for k in compress(count(), coeffs):
             b = coeffs[k]

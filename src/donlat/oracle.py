@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, TypeVar
 from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
 from .cycle import CycleConfig, CycleVerdict, _verdict, selfintersections
 from .errors import CapExceededError, IndexRangeError, SchemaError
-from .lattice import ClassVector, _ascii_int
+from .lattice import ClassVector, _ascii_int, _check_indices, _plain_int
 
 __all__ = [
     "DEFAULT_CAP",
@@ -98,9 +98,12 @@ def effective_cap(cap: int | None = None) -> int:
 
 
 def candidate_curve_classes(n: int) -> tuple[ClassVector, ...]:
-    """Every type A and type B class in rank n, sorted by coefficients."""
-    if n < 1:
-        raise IndexRangeError(f"rank must be positive, got {n}")
+    """Every type A and type B class in rank n, sorted by coefficients.
+
+    Raises:
+        IndexRangeError: n is no plain int >= 1.
+    """
+    _check_indices((), n)
     # each class is its lead, 1 or -2, put at its head into a row of 0s and -1s
     rows = sorted(
         rest[:h] + (lead,) + rest[h:]
@@ -423,7 +426,7 @@ def enumerate_cycles(
 
     Raises:
         CapExceededError: n or s exceeds the configured cap.
-        IndexRangeError: n or s below 1.
+        IndexRangeError: n or s is no plain int >= 1.
     """
     _within_cap(n, s, cap)
     if s == 1:
@@ -465,10 +468,11 @@ def enumerate_cycles(
 
 
 def _within_cap(n: int, s: int, cap: int | None) -> None:
-    """Raise unless 1 <= n, s <= the cap (see `effective_cap`)."""
+    """Raise unless n and s are plain ints (see `lattice._plain_int`) with
+    1 <= n, s <= the cap (see `effective_cap`)."""
     limit = effective_cap(cap)
-    if n < 1 or s < 1:
-        raise IndexRangeError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
+    if not (_plain_int(n) and _plain_int(s)) or n < 1 or s < 1:
+        raise IndexRangeError(f"need n >= 1 and s >= 1, got n={n!r}, s={s!r}")
     if n > limit or s > limit:
         raise CapExceededError(f"n={n}, s={s} exceeds cap {limit}; raise the cap to proceed")
 
@@ -534,8 +538,13 @@ def _walk(
         elif nxt:
             yield tuple(seq), nxt, free, cells
 
-    for root in _bits(roots & fits[0]):
-        yield from extend([root], free[root], cuts[root])
+    try:
+        for root in _bits(roots & fits[0]):
+            yield from extend([root], free[root], cuts[root])
+    finally:
+        # extend reaches itself through its closure cell; emptying the
+        # cell lets reference counting free it, with no cycle left over
+        del extend
 
 
 def _cycle_prefixes(
@@ -751,10 +760,8 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
 
     Raises:
         CapExceededError: n exceeds the configured cap.
-        IndexRangeError: n below 1.
+        IndexRangeError: n is no plain int >= 1.
     """
-    if n < 1:
-        raise IndexRangeError(f"rank must be positive, got {n}")
     # a cap error names s = 1, the table's first row
     _within_cap(n, 1, cap)
     labels = (1 << n) - 1
@@ -812,10 +819,11 @@ def verify_rational_pattern(n: int, coeff_bound: int) -> SweepReport:
     every vector of the box.
 
     Raises:
-        IndexRangeError: n below 1 or coeff_bound below 0.
+        IndexRangeError: n is no plain int >= 1 or coeff_bound no plain
+            int >= 0.
     """
-    if n < 1 or coeff_bound < 0:
-        raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n} and {coeff_bound}")
+    if not (_plain_int(n) and _plain_int(coeff_bound)) or n < 1 or coeff_bound < 0:
+        raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n!r} and {coeff_bound!r}")
     witnesses = []
     for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
         structural = isinstance(_kind(coeffs), (TypeA, TypeB))
@@ -1034,8 +1042,8 @@ def verify_internonvide(n: int, j: int) -> OverlapReport:
     condition is never listed.  The chains are listed with the cyclic
     garbage collector paused, as `enumerate_cycles` lists its cycles.
     """
-    if j < 2:
-        raise IndexRangeError(f"chains need length >= 2, got {j}")
+    if not _plain_int(j) or j < 2:
+        raise IndexRangeError(f"chains need length >= 2, got {j!r}")
     pool = _pool(n)
     cand = pool.classes
     everything = (1 << len(cand)) - 1

@@ -81,6 +81,11 @@ def test_position_and_validity_guards():
         smooth_node(cfg, 2)
     with pytest.raises(PositionOutOfRangeError):
         smooth_node(cfg, -1)
+    # a position that is no plain int is out of range too: 1.0 would
+    # raise a bare TypeError, True would smooth node 1
+    for junk in (1.0, True, False, None, "0"):
+        with pytest.raises(PositionOutOfRangeError):
+            smooth_node(cfg, junk)
     junk = CycleConfig(2, (ClassVector((1, 1)), ClassVector((1, -1))))
     with pytest.raises(InvalidCycleError) as err:
         smooth_node(junk, 0)

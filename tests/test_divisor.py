@@ -132,20 +132,25 @@ NO_PLAIN_INT = st.one_of(
 )
 
 
-@given(NO_PLAIN_INT, st.integers(-1, len(KATO.all_curves()) - 1))
+@given(NO_PLAIN_INT, st.integers(-2, len(KATO.all_curves()) - 1))
 def test_a_rank_or_curve_of_the_wrong_type_is_reported(junk, slot):
-    # slot -1 is the rank; the JSON readers refuse all of these, and a
-    # Python caller gets the report, never a bare exception
+    # slot -1 is the rank and slot -2 the first of the alphas (0 there
+    # would be right, so 0.0 and False pass by equality alone); the JSON
+    # readers refuse all of these, and a Python caller gets the report,
+    # never a bare exception
     curves = list(KATO.all_curves())
-    s = KATO.cycle.s
-    if slot < 0:
+    s, n, alphas = KATO.cycle.s, KATO.cycle.n, KATO.cycle.alphas
+    assert alphas[0] == 0
+    if slot == -2:
+        alphas = (junk, *alphas[1:])
+        want = ("alphas-mismatch",)
+    elif slot == -1:
         n = junk
         want = ("rank-mismatch",) * len(curves)
     else:
-        n = KATO.cycle.n
         curves[slot] = junk
         want = ("not-a-curve",)
-    cycle = CycleConfig(n, curves[:s])
+    cycle = CycleConfig(n, curves[:s], alphas)
     tree = TreeConfig(curves[s:], KATO.trees[0].attach)
     report = validate_maximal_divisor(MaximalDivisorConfig(cycle, (tree,)))
     assert report.codes() == want

@@ -15,6 +15,8 @@ from donlat import (
     RankMismatchError,
     SchemaError,
     TreeConfig,
+    TypeA,
+    TypeB,
     add,
     basis,
     e_sum,
@@ -22,6 +24,7 @@ from donlat import (
     kind_from_json,
     negate,
     pullback_double_cover,
+    reconstruct,
     square,
     zero,
 )
@@ -63,6 +66,22 @@ def test_index_bounds():
         e_sum([], 0)
     with pytest.raises(IndexRangeError):
         zero(0)
+    # a rank or label that is no plain int gets the same error, never a
+    # bare TypeError, and a bool is no label 0 or 1 nor a rank 1
+    for junk in (1.0, True, False, None, "1"):
+        for call in (
+            lambda: basis(junk, 3),
+            lambda: basis(0, junk),
+            lambda: e_sum((0, junk), 3),
+            lambda: e_sum((), junk),
+            lambda: zero(junk),
+            lambda: _class_sum((), junk),
+            lambda: reconstruct(TypeA(junk, frozenset()), 3),
+            lambda: reconstruct(TypeA(2, frozenset({junk})), 3),
+            lambda: reconstruct(TypeB(0, frozenset()), junk),
+        ):
+            with pytest.raises(IndexRangeError):
+                call()
 
 
 def test_rank_mismatch():

@@ -576,6 +576,33 @@ def test_a_build_that_raises_leaves_the_collector_on(monkeypatch):
     assert gc.isenabled()
 
 
+def test_walks_leave_nothing_for_the_cyclic_collector():
+    # `_walk`'s recursive `extend` reaches itself through its closure
+    # cell, a reference cycle that each walk once left behind; with the
+    # collector off and every unreachable object kept, a full pass after
+    # each walking call, or a walk dropped midway, finds nothing
+    for call in (
+        lambda: enumerate_cycles(5, 3, symmetry=False),
+        lambda: verify_internonvide(5, 3),
+        lambda: verify_chain_dichotomy(5),
+        lambda: census(5),
+        lambda: next(_cycle_prefixes(_pool(5), 4)),
+    ):
+        call()  # so that the pool is built before the count
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            call()
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
+
+
 def test_canonicalize_cycle_keeps_no_memory():
     cfg = fixture("oddih-160").cycle
     tracemalloc.start()
@@ -861,6 +888,25 @@ def test_caps():
         enumerate_cycles(2, 0)
     with pytest.raises(IndexRangeError):
         census(0)
+    # a rank, cycle length, chain length or bound that is no plain int
+    # gets the same error, never a bare TypeError; the pools of ranks 1
+    # and 3 are warm, and neither 1.0 nor True may read them
+    verify_chain_dichotomy(1)
+    verify_chain_dichotomy(3)
+    for junk in (3.0, 1.0, True, None, "3"):
+        for call in (
+            lambda: enumerate_cycles(junk, 2),
+            lambda: enumerate_cycles(3, junk),
+            lambda: census(junk),
+            lambda: candidate_curve_classes(junk),
+            lambda: verify_chain_dichotomy(junk),
+            lambda: verify_internonvide(junk, 2),
+            lambda: verify_internonvide(3, junk),
+            lambda: verify_rational_pattern(junk, 1),
+            lambda: verify_rational_pattern(2, junk),
+        ):
+            with pytest.raises(IndexRangeError):
+                call()
 
 
 def test_cap_environment_override(monkeypatch):

@@ -1,8 +1,9 @@
-"""The package's public name list, the README's quick tour, and the
-oracle loading on first use."""
+"""The package's public name list, the README's quick tour, the oracle
+loading on first use, and the input rules written once."""
 
 from __future__ import annotations
 
+import ast
 import doctest
 import json
 import os
@@ -102,3 +103,56 @@ assert "__getattr__" not in listed and "__dir__" not in listed
 """
     proc = _fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def _sites(match) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each node under
+    src/donlat that match(node) accepts, in file order."""
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                sites.append((module, where))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if is_def else where)
+
+    for path in sorted(Path(donlat.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def _raises(error: str, text: str = ""):
+    """Whether a node raises `error(...)` with `text` in the literal
+    parts of its message."""
+
+    def match(node):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            return False
+        literal = "".join(
+            part.value
+            for part in ast.walk(node.exc)
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        return getattr(node.exc.func, "id", None) == error and text in literal
+
+    return match
+
+
+def _range_test(node):
+    """Whether a node is a comparison `0 <= x < y`."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 0
+        and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+    )
+
+
+def test_rank_label_and_position_rules_are_written_once():
+    # each rule has one home in lattice.py, so that every entry point
+    # refuses the same inputs (a float or a bool among them) with the
+    # same typed error
+    assert _sites(_raises("RankMismatchError")) == [("lattice", "_check_rank")]
+    assert _sites(_raises("IndexRangeError", "outside [0, ")) == [("lattice", "_check_indices")]
+    assert _sites(_range_test) == [("lattice", "_in_range")]
