@@ -103,8 +103,9 @@ class NonCurve:
     """Anything failing the rational-curve pattern; keeps the genus defect.
 
     Slotted, with a hand-written constructor that stores through the
-    slot descriptor, like `_HeadTail`: the box sweep of
-    `oracle.verify_rational_pattern` builds one for most of its points.
+    slot descriptor, like `_HeadTail`.  `classify` hands out one shared
+    instance per defect (see `_kind`); being frozen, it equals, hashes
+    and prints as a fresh one.
     """
 
     defect: int
@@ -117,6 +118,10 @@ _set_defect = NonCurve.defect.__set__
 
 
 CurveKind = Union[TypeA, TypeB, NonCurve]
+
+# how many shared non-curve kinds `_kind` keeps, one per defect
+_NONCURVE_TABLE_SIZE = 256
+_noncurves: dict[int, NonCurve] = {}
 
 
 def _defect(coeffs: Sequence[int]) -> int:
@@ -134,7 +139,14 @@ def _kind(coeffs: Sequence[int]) -> CurveKind:
     -1 positions are collected as the tail and the pass stops at a
     second coefficient outside {0, -1}.  The Python-level work thus
     grows with the nonzero coefficients, not with the rank.  Only a
-    non-curve is scanned again, for its genus defect."""
+    non-curve is scanned again, for its genus defect.
+
+    A non-curve gets the shared `NonCurve` of its defect from
+    `_noncurves`, so a sweep whose points are mostly non-curves, such as
+    `oracle.verify_rational_pattern`'s box, builds one per defect and
+    not one per point.  The table is emptied when it holds
+    `_NONCURVE_TABLE_SIZE` kinds and a new defect comes, so it stays
+    bounded whatever defects it is shown."""
     head = -1
     tail: list[int] = []
     for k in compress(count(), coeffs):
@@ -143,14 +155,22 @@ def _kind(coeffs: Sequence[int]) -> CurveKind:
         elif head < 0:
             head = k
         else:
-            return NonCurve(_defect(coeffs))
-    if head >= 0:
-        lead = coeffs[head]
-        if lead == 1:
-            return TypeA(head, tail)
-        if lead == -2:
-            return TypeB(head, tail)
-    return NonCurve(_defect(coeffs))
+            break
+    else:
+        if head >= 0:
+            lead = coeffs[head]
+            if lead == 1:
+                return TypeA(head, tail)
+            if lead == -2:
+                return TypeB(head, tail)
+    # `_defect` written out, which saves a call per non-curve point
+    defect = 2 - sum(map(mul, coeffs, coeffs)) - sum(coeffs)
+    kind = _noncurves.get(defect)
+    if kind is None:
+        if len(_noncurves) >= _NONCURVE_TABLE_SIZE:
+            _noncurves.clear()
+        kind = _noncurves[defect] = NonCurve(defect)
+    return kind
 
 
 def classify(x: ClassVector) -> CurveKind:

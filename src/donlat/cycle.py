@@ -29,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .curveclass import NonCurve, TypeA, TypeB, classify, is_nodal_cycle_class
 from .errors import (
     BadSelfIntersectionError,
+    IndexRangeError,
     InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
@@ -36,7 +37,7 @@ from .errors import (
     SchemaError,
     SingleCurveError,
 )
-from .lattice import ClassVector, _check_rank, _class_sum, _mismatches, _pairings, _plain_int, intersect, square
+from .lattice import ClassVector, _check_rank, _class_sum, _mismatches, _pairings, _plain_int, _plain_ints, intersect, square
 
 __all__ = [
     "BettiResult",
@@ -93,9 +94,11 @@ class CycleConfig:
     the class's own slot descriptor.  A frozen dataclass's generated
     `__init__` must set each field with `object.__setattr__`
     (https://docs.python.org/3/library/dataclasses.html#frozen-instances),
-    and that path costs about half as much again per config.  The
-    49,200 configs of raw `enumerate_cycles(5, 4)` take about a third
-    of that call as it is.
+    and that path costs about half as much again per config.  Building
+    the 49,200 configs of raw `enumerate_cycles(5, 4)` from their curve
+    tuples takes about 16 ms of that call's 50 ms as it is (CPython
+    3.11, one core of a 2-vCPU VM); the search and the tuples take the
+    rest.
     Equality, hashing, `repr`, frozenness, pickling, `__match_args__`
     and `fields()` are the generated ones.
     """
@@ -365,11 +368,15 @@ def from_selfintersections(ks: Sequence[int]) -> CycleConfig:
 
     Raises:
         SingleCurveError: fewer than two entries.
-        BadSelfIntersectionError: some entry below 2.
+        BadSelfIntersectionError: some entry is no plain int (see
+            `lattice._plain_int`), such as 3.0, True or "2", or is
+            below 2.
     """
     ks = tuple(ks)
     if len(ks) < 2:
         raise SingleCurveError("need at least two self-intersections")
+    if not _plain_ints(ks):
+        raise BadSelfIntersectionError(f"self-intersection opposites must be integers, got {ks!r}")
     for k in ks:
         if k < 2:
             raise BadSelfIntersectionError(f"self-intersection opposite {k} below 2")
@@ -389,7 +396,14 @@ def odd_ih_cycle(n: int) -> CycleConfig:
     Curves: D_0 = -2 e_1 - e_{[2, n-1]}, then D_j = e_j - e_{j+1} for
     1 <= j <= n-2, and D_{n-1} = e_{n-1} - e_0.  The self-intersection
     opposites come out as (n+2, 2, ..., 2) and s - C.C = 2n.
+
+    Raises:
+        IndexRangeError: n is no plain int (see `lattice._plain_int`),
+            such as 3.0 or True.
+        RankTooSmallError: n is below 2.
     """
+    if not _plain_int(n):
+        raise IndexRangeError(f"rank must be an integer, got {n!r}")
     if n < 2:
         raise RankTooSmallError(f"need rank >= 2, got {n}")
     curves = [ClassVector((0, -2) + (-1,) * (n - 2))]

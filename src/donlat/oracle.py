@@ -395,12 +395,15 @@ def enumerate_cycles(
     class below another.  The search yields one node of its walk at a
     time: s - 2 classes with the pairs (j, closing) that extend them to
     a prefix and close it.  So raw mode looks up each node's classes
-    once and appends each j once, and it expands each closing set bit
-    by bit in place.  Its result lists the nodes in lexicographic
-    order, each j from the lowest index up and each closing class
-    likewise, so the ordered cycles come in lexicographic order of
-    their pool indices; `_canonical_classes` visits them in the same
-    order.  Both modes build their listing with the cyclic garbage
+    once and appends each j once, and it expands each closing set bit by
+    bit in place.  Each curve tuple is one concatenation with the added
+    class's one-tuple from `ends`, made once per call, where
+    `(*curves, x)` would build a list and copy it into a tuple for each
+    of the 49,200 configs of raw (5, 4).  Its result lists the nodes in
+    lexicographic order, each j from the lowest index up and each
+    closing class likewise, so the ordered cycles come in lexicographic
+    order of their pool indices; `_canonical_classes` visits them in the
+    same order.  Both modes build their listing with the cyclic garbage
     collector paused (see `_collector_paused`): each of the 49,200
     configs of raw (5, 4) is a tracked object with a fresh curve tuple,
     all of them survive, and with the collector on they set off 144
@@ -447,15 +450,16 @@ def enumerate_cycles(
         m = len(cand)
         everything = (1 << m) - 1
         raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
+        ends = tuple((c,) for c in cand)
         configs = []
         append = configs.append
         for seq, closings in _cycle_prefixes(raw, s):
             head = tuple(map(cand.__getitem__, seq))
             for j, closing in closings:
-                curves = (*head, cand[j])
+                curves = head + ends[j]
                 while closing:
                     low = closing & -closing
-                    append(CycleConfig(n, (*curves, cand[low.bit_length() - 1]), None))
+                    append(CycleConfig(n, curves + ends[low.bit_length() - 1]))
                     closing ^= low
         return tuple(configs)
 
@@ -816,7 +820,9 @@ def verify_rational_pattern(n: int, coeff_bound: int) -> SweepReport:
     (what `classify` reads), must agree on every vector.  Witnesses are
     `ClassVector`s.  Unlike the other sweeps this one does not read the
     shape off the pool: the classifier is what it checks, so it runs on
-    every vector of the box.
+    every vector of the box.  Most of the box is no curve, and for those
+    points `_kind` returns its shared `NonCurve` of the defect, so the
+    sweep builds a `NonCurve` per defect, not one per such point.
 
     Raises:
         IndexRangeError: n is no plain int >= 1 or coeff_bound no plain

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from donlat import curveclass
 from donlat import (
     ClassVector,
     IndexRangeError,
@@ -85,7 +86,8 @@ def _reference_classify(x):
 
 
 def test_classify_matches_the_two_pass_reference_on_the_box():
-    for n in range(1, 5):
+    # n = 5 is the box of the benchmark's rational-pattern sweep
+    for n in range(1, 6):
         for coeffs in product(range(-3, 4), repeat=n):
             x = ClassVector(coeffs)
             assert classify(x) == _reference_classify(x), coeffs
@@ -105,6 +107,20 @@ SparseVectors = st.lists(
 @given(SparseVectors)
 def test_classify_matches_the_two_pass_reference_on_sparse_vectors(x):
     assert classify(x) == _reference_classify(x)
+
+
+def test_shared_non_curves_stay_bounded():
+    # (k, k) has defect 2 - 2k(k + 1), a new one for each k >= 0, so
+    # this shows the table three times as many defects as it holds
+    bound = curveclass._NONCURVE_TABLE_SIZE
+    for k in range(3 * bound):
+        defect = 2 - 2 * k * (k + 1)
+        kind = classify(ClassVector((k, k)))
+        fresh = NonCurve(defect)
+        assert kind == fresh and hash(kind) == hash(fresh) and repr(kind) == repr(fresh), k
+        assert len(curveclass._noncurves) <= bound, k
+    # a repeated defect gets the kind already in the table
+    assert classify(ClassVector((2, 2, 0))) is classify(ClassVector((0, 2, 2)))
 
 
 def test_head_never_sits_in_the_tail():

@@ -17,6 +17,7 @@ from donlat import (
     ClassVector,
     CycleConfig,
     CycleVerdict,
+    IndexRangeError,
     InvalidCycleError,
     NotNodalFormError,
     NotPartitionCaseError,
@@ -69,6 +70,10 @@ def test_from_selfintersections_rejects_bad_input():
         for ks in ((1, 5), (5, 1), (2, 3, 0)):
             with pytest.raises(BadSelfIntersectionError):
                 build(ks)
+    # an entry that is no plain int is refused before any arithmetic
+    for ks in ((3.0, 3, 2), (3, 3, "2"), (True, 3), (3, None)):
+        with pytest.raises(BadSelfIntersectionError, match="must be integers"):
+            from_selfintersections(ks)
 
 
 @given(SelfIntLists)
@@ -158,6 +163,9 @@ def test_odd_ih_cycle_shape():
     assert validate_cycle(cfg).ok
     with pytest.raises(RankTooSmallError):
         odd_ih_cycle(1)
+    for n in (3.0, True, "3", None):
+        with pytest.raises(IndexRangeError, match="rank must be an integer"):
+            odd_ih_cycle(n)
 
 
 def _reference_odd_ih_cycle(n):
