@@ -98,23 +98,15 @@ class TypeB(_HeadTail):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class NonCurve:
     """Anything failing the rational-curve pattern; keeps the genus defect.
 
-    Slotted, with a hand-written constructor that stores through the
-    slot descriptor, like `_HeadTail`.  `classify` hands out one shared
-    instance per defect (see `_kind`); being frozen, it equals, hashes
-    and prints as a fresh one.
+    `classify` hands out one shared instance per defect (see `_kind`);
+    being frozen, it equals, hashes and prints as a fresh one.
     """
 
     defect: int
-
-    def __init__(self, defect: int) -> None:
-        _set_defect(self, defect)
-
-
-_set_defect = NonCurve.defect.__set__
 
 
 CurveKind = Union[TypeA, TypeB, NonCurve]

@@ -427,6 +427,8 @@ def second_component_check(
         InvalidDivisorError: the divisor itself does not validate.
         NotDisjointError: some candidate curve meets the divisor class.
         NonCurveComponentError: a candidate fits no curve shape.
+        NotTreeShapedError: two candidates meet negatively, so they
+            cannot be distinct curves (see `_dual_graph`).
         RankMismatchError: some candidate's rank differs from the divisor's.
     """
     vector, _ = total_class(divisor)

@@ -503,6 +503,16 @@ def _walk(
     `free[root]` that pair 0 with every placed class after the root
     (a cycle's closing class meets the root).
 
+    The walk is one loop over a stack for each root.  An entry is
+    (head, pending, free, cells): a placed sequence, the bitset of the
+    classes still to try after it, and the `free` and `cells` it has
+    reached.  The loop pops an entry, pushes the rest of `pending` back
+    and places its least class; the longer sequence is pushed when some
+    class may come after it and it is shorter than `depth`, and yielded
+    when it has `depth` classes.  It is pushed last, so it is expanded
+    before the classes left beside it: a depth-first walk in pre-order,
+    which meets the sequences in lexicographic order.
+
     The walk places one class at a time, so the proof in
     `enumerate_cycles` covers it: when label permutations keep `step`,
     `roots` and `free`, it meets every orbit of such sequences under
@@ -524,31 +534,23 @@ def _walk(
     that sum is 0.  So G is regular, and m <= n.
     """
     apart, cuts, fits = pool.apart, pool.cuts, pool.fits
-
-    def extend(seq: list[int], free: int, cells: int) -> Iterable[tuple]:
-        # free: the classes of free[root] meeting none of the placed
-        # classes after the root; cells: the gaps between labels some
-        # placed class tells apart
-        last = seq[-1]
-        nxt = step[last] & free & fits[cells]
-        if len(seq) > 1:
-            nxt &= apart[seq[0]]
-            free &= apart[last]
-        if len(seq) < depth:
-            for j in _bits(nxt):
-                seq.append(j)
-                yield from extend(seq, free, cells | cuts[j])
-                seq.pop()
-        elif nxt:
-            yield tuple(seq), nxt, free, cells
-
-    try:
-        for root in _bits(roots & fits[0]):
-            yield from extend([root], free[root], cuts[root])
-    finally:
-        # extend reaches itself through its closure cell; emptying the
-        # cell lets reference counting free it, with no cycle left over
-        del extend
+    for root in _bits(roots & fits[0]):
+        todo = [((), 1 << root, free[root], 0)]
+        while todo:
+            head, pending, free_, cells = todo.pop()
+            low = pending & -pending
+            if pending != low:
+                todo.append((head, pending ^ low, free_, cells))
+            last = low.bit_length() - 1
+            seq, cells = head + (last,), cells | cuts[last]
+            nxt = step[last] & free_ & fits[cells]
+            if head:
+                nxt &= apart[root]
+                free_ &= apart[last]
+            if nxt and len(seq) < depth:
+                todo.append((seq, nxt, free_, cells))
+            elif nxt:
+                yield seq, nxt, free_, cells
 
 
 def _cycle_prefixes(

@@ -319,6 +319,56 @@ def test_orbits_are_the_relabellings():
                 assert oracle._orbits(pool, [seq, *orbit]) == sorted(orbit), (n, seq)
 
 
+def _reference_walk(pool, step, roots, free, depth):
+    """`_walk` as a recursive generator, one frame per placed class: a
+    plain reference for its stream, tuple for tuple."""
+    apart, cuts, fits = pool.apart, pool.cuts, pool.fits
+
+    def extend(seq, free, cells):
+        last = seq[-1]
+        nxt = step[last] & free & fits[cells]
+        if len(seq) > 1:
+            nxt &= apart[seq[0]]
+            free &= apart[last]
+        if len(seq) < depth:
+            for j in _bits(nxt):
+                seq.append(j)
+                yield from extend(seq, free, cells | cuts[j])
+                seq.pop()
+        elif nxt:
+            yield tuple(seq), nxt, free, cells
+
+    for root in _bits(roots & fits[0]):
+        yield from extend([root], free[root], cuts[root])
+
+
+def test_walk_matches_the_recursive_reference():
+    # every (seq, nxt, free, cells), free and cells included, for each
+    # way the three searches call the walk: the cycle search on the pool
+    # and on raw mode's tables (raw (6, 5) would walk 1.5 million
+    # nodes), the dichotomy's pair sweeps and its type B pairings, and
+    # the internonvide chains up to one past the longest
+    for n in range(1, 7):
+        pool = _pool(n)
+        m = len(pool.classes)
+        everything = (1 << m) - 1
+        whole = (everything,) * m
+        type_b = pool.type_b
+        only_b = (type_b,) * m
+        raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=whole)
+        calls = [(pool, pool.meets_twice, pool.fits[0], pool.not_below, 1)]
+        calls += [(pool, pool.meets_once, pool.fits[0], pool.not_below, d) for d in range(1, n)]
+        calls += [(raw, raw.meets_twice, everything, whole, 1)]
+        calls += [(raw, raw.meets_once, everything, whole, d) for d in range(1, 3 if n == 6 else 4)]
+        calls += [(pool, pool.meets_once, everything, whole, 1)]
+        for hits in (pool.meets_twice, pool.meets_once, pool.apart):
+            calls.append((pool, hits, type_b, only_b, 1))
+        calls += [(pool, pool.follows, everything & ~type_b, whole, d) for d in range(1, n + 1)]
+        for tables, step, roots, free, depth in calls:
+            want = list(_reference_walk(tables, step, roots, free, depth))
+            assert list(_walk(tables, step, roots, free, depth)) == want, (n, depth)
+
+
 def test_no_chain_is_longer_than_the_rank():
     # the curves of a chain are linearly independent (the proof is in
     # _walk), so no chain of n + 1 curves exists
@@ -577,10 +627,10 @@ def test_a_build_that_raises_leaves_the_collector_on(monkeypatch):
 
 
 def test_walks_leave_nothing_for_the_cyclic_collector():
-    # `_walk`'s recursive `extend` reaches itself through its closure
-    # cell, a reference cycle that each walk once left behind; with the
-    # collector off and every unreachable object kept, a full pass after
-    # each walking call, or a walk dropped midway, finds nothing
+    # no walking call leaves a reference cycle for the collector to
+    # free: with the collector off and every unreachable object kept, a
+    # full pass after each walking call, or a walk dropped midway, finds
+    # nothing
     for call in (
         lambda: enumerate_cycles(5, 3, symmetry=False),
         lambda: verify_internonvide(5, 3),
