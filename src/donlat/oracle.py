@@ -58,7 +58,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, TypeVar
 
 from .curveclass import CurveKind, TypeA, TypeB, _defect, _kind
-from .cycle import CycleConfig, CycleVerdict, _verdict, selfintersections
+from .cycle import CycleConfig, CycleVerdict, _configs, _verdict, selfintersections
 from .errors import CapExceededError, IndexRangeError, SchemaError
 from .lattice import ClassVector, _ascii_int, _check_indices, _plain_int
 
@@ -85,8 +85,13 @@ _T = TypeVar("_T")
 
 def effective_cap(cap: int | None = None) -> int:
     """Resolve the enumeration cap: argument, then environment, then 5.
-    An environment value other than ASCII digits raises SchemaError."""
+    An argument that is no plain int (see `lattice._plain_int`), such as
+    5.5, "5" or True, raises IndexRangeError; an environment value other
+    than ASCII digits raises SchemaError.  A cap of 0 or below is
+    returned as it is, and refuses every rank."""
     if cap is not None:
+        if not _plain_int(cap):
+            raise IndexRangeError(f"cap must be a plain int, got {cap!r}")
         return cap
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
@@ -399,14 +404,18 @@ def enumerate_cycles(
     bit in place.  Each curve tuple is one concatenation with the added
     class's one-tuple from `ends`, made once per call, where
     `(*curves, x)` would build a list and copy it into a tuple for each
-    of the 49,200 configs of raw (5, 4).  Its result lists the nodes in
+    of the 49,200 configs of raw (5, 4).  Both modes list curve tuples
+    only, and make every config of the result in one pass at the end:
+    `cycle._configs` fills their slots at C speed, with no Python
+    `__init__` per config, and builds the result tuple directly, with
+    no list of configs on the way.  Raw mode lists the nodes in
     lexicographic order, each j from the lowest index up and each
     closing class likewise, so the ordered cycles come in lexicographic
     order of their pool indices; `_canonical_classes` visits them in the
     same order.  Both modes build their listing with the cyclic garbage
     collector paused (see `_collector_paused`): each of the 49,200
     configs of raw (5, 4) is a tracked object with a fresh curve tuple,
-    all of them survive, and with the collector on they set off 144
+    all of them survive, and with the collector on they set off 143
     passes, 13 of them older ones, that freed nothing.
 
     The search has no one-type-B rule: the pairings already leave at
@@ -429,7 +438,8 @@ def enumerate_cycles(
 
     Raises:
         CapExceededError: n or s exceeds the configured cap.
-        IndexRangeError: n or s is no plain int >= 1.
+        IndexRangeError: n or s is no plain int >= 1, or cap is neither
+            None nor a plain int.
     """
     _within_cap(n, s, cap)
     if s == 1:
@@ -439,7 +449,7 @@ def enumerate_cycles(
             nodal = [(-1,) * r + (0,) * (n - r) for r in range(n, 0, -1)]
         else:
             nodal = list(product((-1, 0), repeat=n))[:-1]
-        return tuple(CycleConfig(n, (ClassVector(row),), None) for row in nodal)
+        return _configs(n, [(ClassVector(row),) for row in nodal])
 
     pool = _pool(n)
     cand = pool.classes
@@ -451,24 +461,24 @@ def enumerate_cycles(
         everything = (1 << m) - 1
         raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
         ends = tuple((c,) for c in cand)
-        configs = []
-        append = configs.append
+        listing = []
+        append = listing.append
         for seq, closings in _cycle_prefixes(raw, s):
             head = tuple(map(cand.__getitem__, seq))
             for j, closing in closings:
                 curves = head + ends[j]
                 while closing:
                     low = closing & -closing
-                    append(CycleConfig(n, curves + ends[low.bit_length() - 1]))
+                    append(curves + ends[low.bit_length() - 1])
                     closing ^= low
-        return tuple(configs)
+        return _configs(n, listing)
 
     # each accepted cycle is its own canonical form, and pool indices
     # follow the row order, so (squares, indices) sorts as (squares,
     # rows) does
     sq = pool.squares
     cycles = sorted(_canonical_classes(pool, s), key=lambda c: (tuple(sq[i] for i in c), c))
-    return tuple(CycleConfig(n, tuple(map(cand.__getitem__, c)), None) for c in cycles)
+    return _configs(n, [tuple(map(cand.__getitem__, c)) for c in cycles])
 
 
 def _within_cap(n: int, s: int, cap: int | None) -> None:
@@ -766,7 +776,8 @@ def census(n: int, cap: int | None = None) -> tuple[tuple[int, int, CycleVerdict
 
     Raises:
         CapExceededError: n exceeds the configured cap.
-        IndexRangeError: n is no plain int >= 1.
+        IndexRangeError: n is no plain int >= 1, or cap is neither None
+            nor a plain int.
     """
     # a cap error names s = 1, the table's first row
     _within_cap(n, 1, cap)

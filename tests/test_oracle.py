@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
+import pickle
+import sys
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -46,7 +49,7 @@ from donlat import (
     verify_rational_pattern,
     zero,
 )
-from donlat import oracle
+from donlat import cycle, oracle
 from donlat.oracle import (
     DichotomyReport,
     _bits,
@@ -566,6 +569,48 @@ def test_raw_mode_covers_every_symmetry_class():
         )
 
 
+def test_bulk_built_configs_are_real_configs():
+    # enumerate_cycles builds every listing with cycle._configs, which
+    # fills the slots without CycleConfig.__init__: each config must be
+    # one that the constructor would have made
+    for n, s, symmetry in (
+        (4, 1, False),
+        (4, 1, True),
+        (4, 3, False),
+        (5, 3, False),
+        (5, 5, True),
+        (6, 6, True),
+    ):
+        listing = enumerate_cycles(n, s, symmetry=symmetry, cap=6)
+        assert type(listing) is tuple and listing
+        assert pickle.loads(pickle.dumps(listing)) == listing
+        for cfg in listing:
+            assert type(cfg) is CycleConfig
+            assert type(cfg.n) is int and cfg.n == n
+            assert type(cfg.curves) is tuple and len(cfg.curves) == s
+            assert cfg.alphas is None
+            built = CycleConfig(cfg.n, cfg.curves)
+            assert cfg == built and hash(cfg) == hash(built) and repr(cfg) == repr(built)
+            assert dataclasses.replace(cfg) == cfg
+            for name in ("n", "curves", "alphas"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(cfg, name, None)
+
+
+def test_a_listing_holds_no_second_array_of_configs():
+    # past its result, the build of raw (5, 3) holds the list of its
+    # 13,440 curve tuples and no other array of that size: no list of
+    # configs on the way to the result tuple
+    enumerate_cycles(5, 3, symmetry=False)  # so that the pool is warm
+    tracemalloc.start()
+    try:
+        raw = enumerate_cycles(5, 3, symmetry=False)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - size < 1.5 * sys.getsizeof(raw)
+
+
 def _collections_during(call):
     """The generations of the collections that run during call().  A
     young pass runs first, so none is due as call() starts."""
@@ -609,17 +654,19 @@ def test_a_collector_the_caller_turned_off_stays_off():
 
 
 def test_a_build_that_raises_leaves_the_collector_on(monkeypatch):
+    # the failure is planted in the bulk build of the configs: the 100th
+    # of raw (5, 4)'s 49,200 configs fails to take its curves
     calls = 0
-    real = oracle.CycleConfig
+    real = cycle._set_curves
 
-    def failing(*args):
+    def failing(cfg, curves):
         nonlocal calls
         calls += 1
         if calls == 100:
             raise RuntimeError("planted")
-        return real(*args)
+        real(cfg, curves)
 
-    monkeypatch.setattr(oracle, "CycleConfig", failing)
+    monkeypatch.setattr(cycle, "_set_curves", failing)
     with pytest.raises(RuntimeError, match="planted"):
         enumerate_cycles(5, 4, symmetry=False)
     assert calls == 100
@@ -957,6 +1004,22 @@ def test_caps():
         ):
             with pytest.raises(IndexRangeError):
                 call()
+    # so does a cap that is no plain int: "5" would raise a bare
+    # TypeError, 5.5 would pass as a cap and True as a cap of 1
+    for junk in ("5", 5.5, 5.0, True, False):
+        for call in (
+            lambda: census(3, cap=junk),
+            lambda: enumerate_cycles(3, 3, cap=junk),
+            lambda: effective_cap(junk),
+        ):
+            with pytest.raises(IndexRangeError):
+                call()
+    # an int cap of 0 or below is a cap, and refuses every rank
+    for low in (0, -1):
+        with pytest.raises(CapExceededError):
+            census(1, cap=low)
+        with pytest.raises(CapExceededError):
+            enumerate_cycles(1, 1, cap=low)
 
 
 def test_cap_environment_override(monkeypatch):
