@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .curveclass import NonCurve, TypeA, TypeB, classify, is_nodal_cycle_class
 from .errors import (
@@ -79,7 +79,7 @@ class CycleReport:
         return tuple(v.code for v in self.violations)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CycleConfig:
     """Ordered cycle data: rank, curve classes, optional head numbering.
 
@@ -88,38 +88,21 @@ class CycleConfig:
     such numbering applies.
 
     Instances are slotted (no `__dict__`) and keep the `curves` and
-    `alphas` tuples they are given; any other sequence, a tuple
-    subclass included, is converted to a tuple.
-
-    The constructor is written by hand and stores each field through
-    the class's own slot descriptor.  A frozen dataclass's generated
-    `__init__` must set each field with `object.__setattr__`
-    (https://docs.python.org/3/library/dataclasses.html#frozen-instances),
-    and that path costs about half as much again per config.  Listings
-    skip the constructor altogether: `_configs` fills the same three
-    slots over a whole listing at C speed, with no Python frame per
-    config.  That took the `sweeps` benchmark's slowest operation, raw
-    `enumerate_cycles(5, 4)` with its 49,200 configs, from a median of
-    128 to 97 ms (CPython 3.11, one core of a 2-vCPU VM).
-    Equality, hashing, `repr`, frozenness, pickling, `__match_args__`
-    and `fields()` are the generated ones.
+    `alphas` tuples they are given; any other iterable, a tuple
+    subclass included, is converted to a tuple.  Listings do not run
+    the constructor: `_configs` is the one hand-made build path, and
+    fills the three slots over a whole listing at C speed.
     """
 
     n: int
     curves: tuple[ClassVector, ...]
     alphas: tuple[int, ...] | None = None
 
-    def __init__(
-        self,
-        n: int,
-        curves: Iterable[ClassVector],
-        alphas: Iterable[int] | None = None,
-    ) -> None:
-        _set_n(self, n)
-        _set_curves(self, curves if type(curves) is tuple else tuple(curves))
-        _set_alphas(
-            self, alphas if alphas is None or type(alphas) is tuple else tuple(alphas)
-        )
+    def __post_init__(self) -> None:
+        if type(self.curves) is not tuple:
+            object.__setattr__(self, "curves", tuple(self.curves))
+        if self.alphas is not None and type(self.alphas) is not tuple:
+            object.__setattr__(self, "alphas", tuple(self.alphas))
 
     @property
     def s(self) -> int:
@@ -162,13 +145,16 @@ def _configs(n: int, curve_tuples: list[tuple[ClassVector, ...]]) -> tuple[Cycle
     """CycleConfig(n, c, None) for each curve tuple c, built at C speed:
     `CycleConfig.__new__` makes the bare instances and each slot setter
     is mapped over all of them, so no config runs a Python `__init__`.
+    Against a constructor call per config, that took raw
+    `enumerate_cycles(5, 4)`, with its 49,200 configs, from a median of
+    128 to 97 ms (CPython 3.11, one core of a 2-vCPU VM).
     The result is built as a tuple at once, with no list of configs
     first, which would add its own memory to the listing's peak.
 
     Nothing here checks or converts, so the caller must pass an n that
     is a plain int (`lattice._plain_int`) and curve tuples that are
-    tuples, not a subclass, of `ClassVector`s, as `__init__` would have
-    made them."""
+    tuples, not a subclass, of `ClassVector`s, as the constructor would
+    have made them."""
     k = len(curve_tuples)
     configs = tuple(map(CycleConfig.__new__, repeat(CycleConfig, k)))
     deque(map(_set_n, configs, repeat(n, k)), 0)

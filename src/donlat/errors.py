@@ -40,8 +40,9 @@ class RankMismatchError(DonlatError):
 
 
 class IndexRangeError(DonlatError):
-    """Basis index outside [0, n-1], or a rank, cycle or chain length,
-    coefficient bound or cap that is no plain int in its range."""
+    """Basis index outside [0, n-1], a rank, cycle or chain length,
+    coefficient bound or cap that is no plain int in its range, or a
+    symmetry flag that is no bool."""
 
 
 class NotACurveError(DonlatError):

@@ -203,8 +203,8 @@ def _pool(n: int) -> _Pool:
 
     Each table has one entry per class, but each bitset over classes
     has a bit per class, so the pool grows as (n 2^n)^2 bits (0.2 MB at
-    n = 6, about 3 MB at n = 8) and a cold build still takes a few
-    tenths of a second at n = 8.  So the two ranks used last stay
+    n = 6, about 3 MB at n = 8) and a cold build still takes about a
+    tenth of a second at n = 8.  So the two ranks used last stay
     memoised: enough for work that alternates between two ranks, such
     as sweeps at n = 5 and n = 6, and no more, since every rank up
     quadruples the memory.
@@ -438,10 +438,13 @@ def enumerate_cycles(
 
     Raises:
         CapExceededError: n or s exceeds the configured cap.
-        IndexRangeError: n or s is no plain int >= 1, or cap is neither
-            None nor a plain int.
+        IndexRangeError: n or s is no plain int >= 1, symmetry is
+            neither True nor False, or cap is neither None nor a plain
+            int.
     """
     _within_cap(n, s, cap)
+    if type(symmetry) is not bool:
+        raise IndexRangeError(f"symmetry must be True or False, got {symmetry!r}")
     if s == 1:
         # the -e_I classes in sorted order: every nonzero row of 0s and
         # -1s, or with symmetry on one per support size

@@ -959,18 +959,38 @@ def test_no_cycle_is_two_longer_than_the_rank():
 def test_census_builds_no_cycle_config(monkeypatch):
     built = []
     init = CycleConfig.__init__
+    bulk = oracle._configs
 
     def counted(self, *args, **kwargs):
-        built.append(args)
+        built.append("init")
         init(self, *args, **kwargs)
 
+    def counted_bulk(n, curve_tuples):
+        built.append("bulk")
+        return bulk(n, curve_tuples)
+
     monkeypatch.setattr(CycleConfig, "__init__", counted)
-    # the hook sees every construction: one config, then none in census
+    monkeypatch.setattr(oracle, "_configs", counted_bulk)
+    # the hooks see both ways to build a config: a single one runs the
+    # constructor, and a listing builds all of its configs in one bulk
+    # pass without it
     CycleConfig(1, (ClassVector((-1,)),))
-    assert len(built) == 1
+    assert len(enumerate_cycles(4, 3)) == EXPECTED_COUNTS[(4, 3)]
+    assert built == ["init", "bulk"]
     built.clear()
     assert sum(count for _, _, _, count in census(6, cap=6)) == 743
     assert built == []
+
+
+def test_symmetry_is_true_or_false():
+    # read by truth, None and 0 would give the raw listing and "no" the
+    # symmetric one
+    for junk in (None, 0, 1, 1.0, "no"):
+        for s in (1, 3):
+            with pytest.raises(IndexRangeError):
+                enumerate_cycles(3, s, symmetry=junk)
+    assert len(enumerate_cycles(3, 3, symmetry=True)) == EXPECTED_COUNTS[(3, 3)]
+    assert len(enumerate_cycles(3, 3, symmetry=False)) == 180
 
 
 def test_caps():
