@@ -30,7 +30,10 @@ s, the pair sweep of `verify_chain_dichotomy` and the chain sweep of
 and chains a report returns.
 `verify_rational_pattern` sweeps its whole box: the classifier
 `curveclass._kind` is what it checks, and deciding one point per orbit
-would assume that the classifier treats all labels alike.
+would assume that the classifier treats all labels alike.  So the
+classifier runs on every point, in one C-level pass over the box,
+while the arithmetic rule is applied only to the points with exactly
+one coefficient outside {0, -1}, the only ones where it can hold.
 
 `enumerate_cycles` and `verify_internonvide` build their listings with
 the cyclic garbage collector paused (`_collector_paused`).  Every
@@ -52,7 +55,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
-from itertools import groupby, permutations, product
+from itertools import compress, groupby, permutations, product, repeat
 from operator import add, and_, mul, or_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, TypeVar
@@ -836,9 +839,24 @@ def verify_rational_pattern(n: int, coeff_bound: int) -> SweepReport:
     (what `classify` reads), must agree on every vector.  Witnesses are
     `ClassVector`s.  Unlike the other sweeps this one does not read the
     shape off the pool: the classifier is what it checks, so it runs on
-    every vector of the box.  Most of the box is no curve, and for those
-    points `_kind` returns its shared `NonCurve` of the defect, so the
-    sweep builds a `NonCurve` per defect, not one per such point.
+    every vector of the box, once each and in box order, mapped over the
+    box's `product` at C level; a second `product` keeps, through
+    `compress`, the points it calls a curve.  Most of the box is no
+    curve, and for those points `_kind` returns its shared `NonCurve` of
+    the defect, so the sweep builds a `NonCurve` per defect, not one per
+    such point.
+
+    The arithmetic rule is applied only where it can hold.  It needs
+    exactly one coefficient outside {0, -1}.  A box point with one such
+    coefficient has it at some position h, with a value `lead` from the
+    box outside {0, -1}, and every other coefficient from `low`, the
+    box's values in {0, -1} (only 0 when the bound is 0).  The sweep
+    lists every choice of h, lead and other coefficients, so every point
+    that meets the rule is on the list and no point off it does; of the
+    listed points it keeps those of defect 0.  The witnesses are the
+    points where the two sides differ, sorted: `product` over an
+    ascending range runs in lexicographic order, so sorting gives the
+    order in which a loop over the box would meet them.
 
     Raises:
         IndexRangeError: n is no plain int >= 1 or coeff_bound no plain
@@ -846,14 +864,20 @@ def verify_rational_pattern(n: int, coeff_bound: int) -> SweepReport:
     """
     if not (_plain_int(n) and _plain_int(coeff_bound)) or n < 1 or coeff_bound < 0:
         raise IndexRangeError(f"need n >= 1 and coeff_bound >= 0, got {n!r} and {coeff_bound!r}")
-    witnesses = []
-    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        structural = isinstance(_kind(coeffs), (TypeA, TypeB))
-        outside = n - coeffs.count(0) - coeffs.count(-1)
-        arithmetic = outside == 1 and _defect(coeffs) == 0
-        if structural != arithmetic:
-            witnesses.append(ClassVector(coeffs))
-    return SweepReport(not witnesses, tuple(witnesses))
+    values = range(-coeff_bound, coeff_bound + 1)
+    is_curve = map(isinstance, map(_kind, product(values, repeat=n)), repeat((TypeA, TypeB)))
+    structural = set(compress(product(values, repeat=n), is_curve))
+    low = [v for v in values if v in (0, -1)]
+    leads = [v for v in values if v not in (0, -1)]
+    points = (
+        rest[:h] + (lead,) + rest[h:]
+        for h in range(n)
+        for lead in leads
+        for rest in product(low, repeat=n - 1)
+    )
+    arithmetic = {coeffs for coeffs in points if _defect(coeffs) == 0}
+    witnesses = tuple(map(ClassVector, sorted(structural ^ arithmetic)))
+    return SweepReport(not witnesses, witnesses)
 
 
 def verify_chain_dichotomy(n: int) -> DichotomyReport:

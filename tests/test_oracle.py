@@ -1078,6 +1078,76 @@ def test_rational_pattern_catches_a_broken_classifier(monkeypatch):
     assert all(type(w) is ClassVector for w in report.witnesses)
 
 
+def _reference_rational_pattern(n, coeff_bound):
+    """The sweep point by point, in box order: the classifier and the
+    arithmetic rule on every point, a witness where they differ.  Reads
+    `oracle._kind` at call time, so a planted classifier reaches it."""
+    witnesses = []
+    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
+        structural = isinstance(oracle._kind(coeffs), (TypeA, TypeB))
+        outside = n - coeffs.count(0) - coeffs.count(-1)
+        arithmetic = outside == 1 and oracle._defect(coeffs) == 0
+        if structural != arithmetic:
+            witnesses.append(ClassVector(coeffs))
+    return oracle.SweepReport(not witnesses, tuple(witnesses))
+
+
+_REAL_KIND = oracle._kind
+
+# classifiers planted in the sweep, each wrong on a known set of points
+_PLANTED_KINDS = {
+    "real": _REAL_KIND,
+    # wrong on every curve point
+    "no_curves": lambda coeffs: NonCurve(0),
+    # wrong on one non-curve point, so only the classifier side sees it
+    "type_a_at_3_0": lambda coeffs: TypeA(0, ()) if coeffs == (3, 0) else _REAL_KIND(coeffs),
+    # wrong on the points with lead -2, which only the arithmetic side
+    # still calls curves
+    "no_type_b": lambda coeffs: (
+        NonCurve(0) if isinstance(kind := _REAL_KIND(coeffs), TypeB) else kind
+    ),
+}
+
+_RATIONAL_BOXES = [(n, b) for n in (1, 2, 3, 4) for b in (0, 1, 2, 3)] + [(2, 5)]
+
+
+@pytest.mark.parametrize("planted", sorted(_PLANTED_KINDS))
+def test_rational_pattern_matches_the_per_point_loop(monkeypatch, planted):
+    # the same ok, the same witnesses and the same order as the loop
+    # over every point, under the real classifier and planted faults
+    monkeypatch.setattr(oracle, "_kind", _PLANTED_KINDS[planted])
+    reports = {box: verify_rational_pattern(*box) for box in _RATIONAL_BOXES}
+    for box, report in reports.items():
+        assert report == _reference_rational_pattern(*box), box
+        assert all(type(w) is ClassVector for w in report.witnesses)
+    if planted == "real":
+        assert all(report.ok for report in reports.values())
+    elif planted == "type_a_at_3_0":
+        assert reports[2, 3].witnesses == (ClassVector((3, 0)),)
+        assert reports[2, 2].ok
+    elif planted == "no_type_b":
+        # -2 lies outside a box of bound 1
+        assert all(reports[n, b].ok == (b < 2) for n, b in _RATIONAL_BOXES)
+        assert all(-2 in w.coeffs for report in reports.values() for w in report.witnesses)
+    else:
+        assert not any(reports[n, b].ok for n, b in _RATIONAL_BOXES if b)
+
+
+@pytest.mark.parametrize("box", [(1, 0), (3, 1), (3, 3)], ids=lambda box: "%d-%d" % box)
+def test_rational_pattern_classifies_every_point_once_in_box_order(monkeypatch, box):
+    # the sweep checks the classifier, so it may skip no point
+    seen = []
+
+    def recording(coeffs):
+        seen.append(coeffs)
+        return _REAL_KIND(coeffs)
+
+    monkeypatch.setattr(oracle, "_kind", recording)
+    n, b = box
+    assert verify_rational_pattern(n, b).ok
+    assert seen == list(product(range(-b, b + 1), repeat=n))
+
+
 def test_chain_dichotomy_sweep():
     for n in (2, 3, 4, 5):
         report = verify_chain_dichotomy(n)
