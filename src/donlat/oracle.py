@@ -369,7 +369,9 @@ def enumerate_cycles(
     With symmetry on (the default) the result holds one canonical
     representative per equivalence class under rotation, reflection and
     basis permutation, sorted; with symmetry off every ordered tuple of
-    classes passing the cycle constraints is returned.
+    classes passing the cycle constraints is returned.  No cycle has
+    more than n + 1 curves (the proof is in `census`), so for s > n + 1
+    either mode returns () with no search.
 
     With symmetry on, the search also breaks the basis-permutation
     symmetry as it goes.  Once some curves are placed, labels whose
@@ -396,14 +398,26 @@ def enumerate_cycles(
     pool indices follow the order of the rows, so the classes sort by
     their squares, then their indices.
 
-    Both modes run one search, `_cycle_prefixes`, which prunes only
+    The symmetric search is `_cycle_prefixes`, which prunes only
     through the pool's per-class tables: the cells (`cuts`, `fits`) and
-    the squares (`not_below`).  Raw mode is the same search over tables
-    that prune nothing: no cuts, one cell that fits every class, and no
-    class below another.  The search yields one node of its walk at a
-    time: s - 2 classes with the pairs (j, closing) that extend them to
-    a prefix and close it.  So raw mode looks up each node's classes
-    once and appends each j once, and it expands each closing set bit by
+    the squares (`not_below`).  Raw mode walks `_walk` itself, over
+    tables that prune nothing (no cuts, one cell that fits every class,
+    and no class below another), and lists each cycle as the walk
+    reaches it, with no list of (j, closing) pairs per node and no
+    second pass over one.  Its closing step is the bare cycle rule: at
+    a node seq with free classes `free`, the prefix (*seq, j) closes
+    with the classes that meet j once, meet the root once and miss the
+    middle, `meets_once[j] & close` with `close = meets_once[seq[0]] &
+    free`.  That is the closing step of `_cycle_prefixes`,
+    `meets_once[j] & close & fits[cells | cuts[j]] & not_below[...]`,
+    under the raw tables: every `cuts` entry is 0, `fits[0]` holds
+    every class and so does every `not_below` row.  The nodes, the js
+    and the closing classes come in the same order as there, so the
+    listing is the one the pruned search over those tables gives, byte
+    for byte; the tests pin the two loops against each other.  At s = 2
+    the nodes are the roots of a depth-1 walk over `meets_twice`, each
+    closed by its `nxt`.  Raw mode looks up each node's classes once,
+    appends each j once, and expands `nxt` and each closing set bit by
     bit in place.  Each curve tuple is one concatenation with the added
     class's one-tuple from `ends`, made once per call, where
     `(*curves, x)` would build a list and copy it into a tuple for each
@@ -457,26 +471,43 @@ def enumerate_cycles(
             nodal = list(product((-1, 0), repeat=n))[:-1]
         return _configs(n, [(ClassVector(row),) for row in nodal])
 
+    if s > n + 1:
+        # no cycle has more than n + 1 curves (see `census`)
+        return ()
+
     pool = _pool(n)
     cand = pool.classes
     if not symmetry:
-        # the same search over tables that prune nothing: each node's
-        # classes are looked up once, each j is appended to them once,
-        # and each closing class to that prefix
+        # the walk over tables that prune nothing, listed as it goes:
+        # each node's classes are looked up once, each j is appended to
+        # them once, and each closing class to that prefix
         m = len(cand)
         everything = (1 << m) - 1
         raw = pool._replace(cuts=(0,) * m, fits=(everything,), not_below=(everything,) * m)
         ends = tuple((c,) for c in cand)
         listing = []
         append = listing.append
-        for seq, closings in _cycle_prefixes(raw, s):
+        if s == 2:
+            # each root closed by the classes meeting it twice
+            for (root,), closing, _, _ in _walk(raw, pool.meets_twice, everything, raw.not_below, 1):
+                for c in _bits(closing):
+                    append(ends[root] + ends[c])
+            return _configs(n, listing)
+        meets_once = pool.meets_once
+        for seq, nxt, free, _ in _walk(raw, meets_once, everything, raw.not_below, s - 2):
+            close = meets_once[seq[0]] & free
             head = tuple(map(cand.__getitem__, seq))
-            for j, closing in closings:
-                curves = head + ends[j]
-                while closing:
-                    low = closing & -closing
-                    append(curves + ends[low.bit_length() - 1])
-                    closing ^= low
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                j = low.bit_length() - 1
+                closing = meets_once[j] & close
+                if closing:
+                    curves = head + ends[j]
+                    while closing:
+                        low = closing & -closing
+                        append(curves + ends[low.bit_length() - 1])
+                        closing ^= low
         return _configs(n, listing)
 
     # each accepted cycle is its own canonical form, and pool indices
@@ -502,9 +533,11 @@ def _walk(
 ) -> Iterable[tuple[tuple[int, ...], int, int, int]]:
     """The depth-first walk of the oracle's three searches: each
     sequence of `depth` pool indices that keeps the rules below once, in
-    lexicographic order, as (seq, nxt, free, cells).  The cycle search
-    walks through it at every s: at s = 2 a lone root with `step` =
-    `meets_twice`, whose `nxt` is the closing set.  The pair sweep of
+    lexicographic order, as (seq, nxt, free, cells).  The symmetric
+    cycle search (`_cycle_prefixes`) and raw `enumerate_cycles`, which
+    lists its cycles straight off the walk, both walk through it at
+    every s: at s = 2 a lone root with `step` = `meets_twice`, whose
+    `nxt` is the closing set.  The pair sweep of
     `verify_chain_dichotomy` walks at depth 1, each root with its
     partners as `nxt`, and the chain sweep of `verify_internonvide` at
     depth j - 1 over `follows`.
@@ -580,7 +613,10 @@ def _cycle_prefixes(
     such pair is not yielded.  At s = 2 the stream is one node, (),
     whose pairs are the roots and the classes meeting them twice.  It
     prunes only through the pool's `cuts`, `fits` and `not_below`
-    tables, so tables that prune nothing make it the raw search."""
+    tables.  Over tables that prune nothing it lists the cycles of raw
+    `enumerate_cycles`, which walks on its own with no pair lists; the
+    tests compare the two, and read this search over their own tables
+    (a least root, a second value order)."""
     meets_once, cuts, fits, not_below = pool.meets_once, pool.cuts, pool.fits, pool.not_below
     # the canonical rotation starts at a minimal square, so some sibling
     # root finds any class with a smaller one: each root's curves are

@@ -484,7 +484,9 @@ def _reference_raw_cycles(n, s):
 
 
 def test_raw_mode_matches_the_list_based_search_in_order():
-    cases = [(n, s) for n in range(1, 5) for s in range(1, n + 1)] + [(5, 3)]
+    # s = n + 1 takes raw mode's walk to its deepest, n - 1 classes, and
+    # (5, 4) is the benchmark's listing, 49,200 ordered cycles
+    cases = [(n, s) for n in range(1, 5) for s in range(1, n + 2)] + [(5, 3), (5, 4)]
     cases += [(n, 1) for n in range(5, 9)]
     for n, s in cases:
         got = [cfg.curves for cfg in enumerate_cycles(n, s, symmetry=False, cap=8)]
@@ -951,9 +953,31 @@ def test_the_curves_of_a_chain_are_independent():
 
 
 def test_no_cycle_is_two_longer_than_the_rank():
-    # the curves of a cycle of s curves have rank at least s - 1
+    # the curves of a cycle of s curves have rank at least s - 1;
+    # `enumerate_cycles` relies on it and runs no search there, so the
+    # search itself is asked too
     for n in range(1, 7):
         assert enumerate_cycles(n, n + 2, cap=n + 2) == (), n
+        assert not any(_cycle_prefixes(_pool(n), n + 2)), n
+
+
+def test_no_walk_past_the_proven_bound(monkeypatch):
+    # s <= n + 1 is proved (census), so both modes answer a longer cycle
+    # with no search at all; the argument checks still come first
+    def no_walk(*args):
+        raise AssertionError("walked past s = n + 1")
+
+    monkeypatch.setattr(oracle, "_walk", no_walk)
+    for n in range(1, 5):
+        for s in (n + 2, n + 3):
+            for symmetry in (True, False):
+                assert enumerate_cycles(n, s, symmetry=symmetry, cap=n + 3) == (), (n, s)
+    with pytest.raises(CapExceededError):
+        enumerate_cycles(2, 9, symmetry=False, cap=8)
+    with pytest.raises(IndexRangeError):
+        enumerate_cycles(2, 5, symmetry=1, cap=8)
+    with pytest.raises(IndexRangeError):
+        enumerate_cycles(2, 5.0, symmetry=False, cap=8)
 
 
 def test_census_builds_no_cycle_config(monkeypatch):
@@ -1423,11 +1447,12 @@ def _prefixes(tables, s):
 
 
 def test_cycle_prefixes_yield_each_walk_node_once():
-    # the contract both consumers read, on the pool and on the tables
-    # of raw mode: nodes of s - 2 classes in increasing lexicographic
-    # order, none without a closing prefix, and j increasing in each.
-    # Raw mode at rank 6 stops at s = 4: s = 5..7 walk 1.5 million
-    # nodes, some 15 s
+    # the contract that `_canonical_classes` and the tests' own searches
+    # (least root, second order) read, on the pool and on tables that
+    # prune nothing: nodes of s - 2 classes in increasing lexicographic order,
+    # none without a closing prefix, and j increasing in each.  Those
+    # tables at rank 6 stop at s = 4: s = 5..7 walk 1.5 million nodes,
+    # some 15 s
     for n in range(1, 7):
         pool = _pool(n)
         m = len(pool.classes)
@@ -1571,7 +1596,10 @@ def _orbit_mass(n, s):
 def _least_root_raw_count(n, s):
     """The number of ordered cycles of s >= 2 curves in rank n that the
     raw mode lists, counted with one search over tables that keep one
-    ordered cycle per set of classes.  Every class is a root and no
+    ordered cycle per set of classes.  It runs through
+    `_cycle_prefixes`, the pruned search, while raw mode lists its
+    cycles with a loop of its own over `_walk`, so the two counts come
+    from two separate loops.  Every class is a root and no
     label cell splits, but `not_below[i]` holds only the classes with
     index above i: every class after the root lies above it, so the
     root is the cycle's least index, and the closing prune keeps the
@@ -1591,6 +1619,8 @@ def _least_root_raw_count(n, s):
 
 
 def test_least_root_count_matches_the_raw_mode():
+    # two separate loops: the pruned search `_cycle_prefixes` with one
+    # ordered cycle per set of classes, against raw mode's own walk
     for n in range(2, 6):
         for s in range(2, n + 1):
             raw = enumerate_cycles(n, s, symmetry=False)
